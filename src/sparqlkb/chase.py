@@ -40,9 +40,6 @@ class SaturatedTBox:
     def super_roles(self, r: RoleExpr) -> list[RoleExpr]:
         return sorted(s for p, s in self.role_closure if p == r)
 
-    def super_concepts(self, b: BasicConcept) -> list[BasicConcept]:
-        return sorted(c for p, c in self.concept_closure if p == b)
-
 
 def _transitive_closure(pairs: set[tuple], domain: set) -> set[tuple]:
     closure = set(pairs) | {(x, x) for x in domain}
@@ -119,9 +116,6 @@ class ChaseGraph:
     depth_of: tuple[tuple[str, int], ...]  # anonymous term name -> depth
     bound: int
     kb: KnowledgeBase
-
-    def depth(self, name: str) -> int:
-        return dict(self.depth_of)[name]
 
 
 class ChaseSizeExceeded(Exception):
@@ -272,10 +266,16 @@ def chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     return _build_chase(kb, bound)
 
 
+def model_bound(kb: KnowledgeBase) -> int:
+    """Chase depth at which every path of witnesses has repeated a type: a
+    witness's type is fixed by the role that created it, and the TBox has
+    2·|roles| role expressions."""
+    return 2 * len(saturate(kb.tbox).role_names) + 1
+
+
 def default_bound(kb: KnowledgeBase, q: Query) -> int:
     """Depth heuristic: role-type periodicity plus the query's reach."""
-    sat = saturate(kb.tbox)
-    return 2 * len(sat.role_names) + triple_pattern_count(q) + 1
+    return model_bound(kb) + triple_pattern_count(q)
 
 
 @lru_cache(maxsize=256)
@@ -284,7 +284,7 @@ def is_satisfiable(kb: KnowledgeBase) -> bool:
     sat = saturate(kb.tbox)
     if not sat.disjointness_closure:
         return True
-    probe = _build_chase(kb, 2 * len(sat.role_names) + 1)
+    probe = _build_chase(kb, model_bound(kb))
     index = _term_index(set(probe.graph.atoms))
     elements = sorted(probe.graph.terms())
     for term in elements:
@@ -295,6 +295,7 @@ def is_satisfiable(kb: KnowledgeBase) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
 def entailed_abox(kb: KnowledgeBase) -> Graph:
     """All atoms over the active domain entailed by the KB."""
     if not is_satisfiable(kb):

@@ -9,7 +9,7 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from .chase import chase, default_bound
+from .chase import chase, model_bound
 from .errors import ParseError, QueryShapeError, SparqlKbError, UnsatisfiableKbError
 from .harness import (
     SizeParams,
@@ -71,7 +71,7 @@ def _cmd_eval(args, out) -> int:
 
 def _cmd_chase(args, out) -> int:
     kb = _load_kb(args.kb)
-    depth = args.depth if args.depth is not None else 2 * len(kb.role_names) + 1
+    depth = args.depth if args.depth is not None else model_bound(kb)
     cg = chase(kb, depth)
     for atom in cg.graph:
         print(f"{atom} .", file=out)
@@ -176,7 +176,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args, out)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except UnsatisfiableKbError as exc:

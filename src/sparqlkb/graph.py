@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 from .errors import QueryShapeError
@@ -14,7 +13,7 @@ from .mappings import (
     join,
     project,
 )
-from .query import JoinQ, OptQ, Query, Select, TriplePattern, UnionQ, branch
+from .query import JoinQ, OptQ, Query, TriplePattern, UnionQ, branch
 
 
 class Graph:
@@ -85,15 +84,6 @@ def sparql_ans_branch(q: Query, g: Graph, qb: Query) -> MappingSet:
     """Answers to q obtainable by evaluating one of its branches."""
     if qb not in branch(q):
         raise QueryShapeError("not a branch of the given query")
+    if qb == q:
+        return sparql_ans(q, g)
     return sparql_ans(q, g) & sparql_ans(qb, g)
-
-
-def e_ans(q: Query, g: Graph) -> MappingSet:
-    """Downward ⪯-closure of the answers: every restriction of every answer."""
-    out = set()
-    for w in sparql_ans(q, g):
-        dom = sorted(w.domain)
-        for k in range(len(dom) + 1):
-            for subset in combinations(dom, k):
-                out.add(w.restrict(subset))
-    return frozenset(out)

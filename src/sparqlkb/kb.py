@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import ParseError
 
@@ -175,41 +175,11 @@ class KnowledgeBase:
                 if not t.is_individual:
                     raise ValueError(f"ABox atom mentions non-individual: {atom}")
 
-    @property
-    def concept_names(self) -> frozenset[str]:
-        names = {a.predicate for a in self.abox if len(a.args) == 1}
-        for c in self._tbox_concepts():
-            if c.kind == "atomic":
-                names.add(c.name)
-        return frozenset(names)
-
-    @property
-    def role_names(self) -> frozenset[str]:
-        names = {a.predicate for a in self.abox if len(a.args) == 2}
-        for ax in self.tbox:
-            if isinstance(ax, RoleInclusion):
-                names.update((ax.lhs.name, ax.rhs.name))
-            else:
-                for c in (ax.lhs, ax.rhs):
-                    if c.kind != "atomic":
-                        names.add(c.name)
-        return frozenset(names)
-
-    def _tbox_concepts(self) -> Iterator[BasicConcept]:
-        for ax in self.tbox:
-            if isinstance(ax, (ConceptInclusion, ConceptDisjointness)):
-                yield ax.lhs
-                yield ax.rhs
-
 
 def active_domain(kb: KnowledgeBase) -> frozenset[Term]:
     """Individuals appearing syntactically in the TBox or ABox."""
     # TBox axioms in this language never mention individuals.
     return frozenset(t for atom in kb.abox for t in atom.args)
-
-
-def empty_kb() -> KnowledgeBase:
-    return KnowledgeBase(frozenset(), frozenset())
 
 
 # --- parsing ----------------------------------------------------------------
@@ -227,12 +197,15 @@ _TOKEN_RE = re.compile(
 
 
 class _Tokens:
-    def __init__(self, text: str):
+    """Tokenizer for both grammars: token_re's group names are the token
+    kinds, and "ws", "comment" and "nl" tokens are dropped."""
+
+    def __init__(self, text: str, token_re: re.Pattern):
         self.tokens: list[tuple[str, str, int, int]] = []
         line, col = 1, 1
         pos = 0
         while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
+            m = token_re.match(text, pos)
             if not m:
                 raise ParseError(f"unexpected character {text[pos]!r}", line, col)
             kind = m.lastgroup
@@ -315,7 +288,7 @@ def _parse_side(toks: _Tokens):
 
 def parse_kb(text: str) -> KnowledgeBase:
     """Parse the KB grammar; raises ParseError with line/column on bad input."""
-    toks = _Tokens(text)
+    toks = _Tokens(text, _TOKEN_RE)
     toks.next("TBOX")
     toks.next(":")
 

@@ -40,9 +40,6 @@ class SolutionMapping:
     def as_dict(self) -> dict[Var, Term]:
         return dict(self.bindings)
 
-    def get(self, var: Var) -> Term | None:
-        return dict(self.bindings).get(var)
-
     def restrict(self, x: Iterable[Var]) -> "SolutionMapping":
         """ω|_X: keep bindings whose variable lies in X."""
         xs = frozenset(x)

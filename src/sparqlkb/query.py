@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import ParseError, QueryShapeError
-from .kb import INDIVIDUAL_RE, NAME_RE, Term, Var, individual
+from .kb import INDIVIDUAL_RE, NAME_RE, Term, Var, _Tokens, individual
 
 VarSet = frozenset[Var]
 VarSetFamily = frozenset[VarSet]
@@ -147,12 +147,6 @@ def _min_sets(family: frozenset[VarSet]) -> frozenset[VarSet]:
     )
 
 
-def _max_sets(family: frozenset[VarSet]) -> frozenset[VarSet]:
-    return frozenset(
-        x for x in family if not any(x < y for y in family)
-    )
-
-
 @lru_cache(maxsize=None)
 def base(q: Query) -> VarSetFamily:
     """Linear-size generating family whose nonempty unions produce adm(q).
@@ -224,43 +218,7 @@ _Q_TOKEN_RE = re.compile(
 )
 
 
-class _QTokens:
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, str, int, int]] = []
-        line, col, pos = 1, 1, 0
-        while pos < len(text):
-            m = _Q_TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            if m.lastgroup == "nl":
-                line += 1
-                col = 1
-            else:
-                if m.lastgroup != "ws":
-                    self.tokens.append((m.lastgroup, m.group(), line, col))
-                col += len(m.group())
-            pos = m.end()
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def next(self, expected: str | None = None):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else (None, "", 1, 1)
-            raise ParseError("unexpected end of input", last[2], last[3])
-        if expected is not None and tok[1] != expected:
-            raise ParseError(f"expected {expected!r}, found {tok[1]!r}", tok[2], tok[3])
-        self.index += 1
-        return tok
-
-    def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[1] == value
-
-
-def _parse_term(toks: _QTokens) -> Union[Var, Term]:
+def _parse_term(toks: _Tokens) -> Union[Var, Term]:
     if toks.at("?"):
         toks.next()
         kind, value, line, col = toks.next()
@@ -273,7 +231,7 @@ def _parse_term(toks: _QTokens) -> Union[Var, Term]:
     return individual(value)
 
 
-def _parse_query(toks: _QTokens) -> Query:
+def _parse_query(toks: _Tokens) -> Query:
     kind, value, line, col = toks.next()
     if kind != "name":
         raise ParseError(f"expected query, found {value!r}", line, col)
@@ -315,7 +273,7 @@ def _parse_query(toks: _QTokens) -> Query:
 
 
 def parse_query(text: str) -> Query:
-    toks = _QTokens(text)
+    toks = _Tokens(text, _Q_TOKEN_RE)
     q = _parse_query(toks)
     tok = toks.peek()
     if tok is not None:

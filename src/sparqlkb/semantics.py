@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from .chase import chase, default_bound
+from .chase import chase, default_bound, entailed_abox
 from .errors import QueryShapeError
 from .graph import Graph, sparql_ans, sparql_ans_branch
 from .kb import KnowledgeBase, active_domain
+# join, diff and project are unused here; the benchmark tracer looks them up in this module.
 from .mappings import MappingSet, join, diff, project, otimes, restrict_filter, restrict_project
 from .query import (
     JoinQ,
-    OptQ,
     Query,
     Select,
     TriplePattern,
@@ -21,17 +21,9 @@ from .query import (
 )
 
 
-def _bound(kb: KnowledgeBase, q: Query, depth: int | None) -> int:
-    return default_bound(kb, q) if depth is None else depth
-
-
-def abox_graph(kb: KnowledgeBase) -> Graph:
-    return Graph(kb.abox)
-
-
 def plain_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """SPARQL answers over the ABox viewed as a plain graph; TBox ignored."""
-    return sparql_ans(q, abox_graph(kb))
+    return sparql_ans(q, Graph(kb.abox))
 
 
 def _cq_join_tree(q: Query) -> bool:
@@ -66,41 +58,29 @@ def cert_ans_ucq(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Mappi
     """Certain answers, via the canonical-model characterization; UCQs only."""
     if not is_ucq_shape(q):
         raise QueryShapeError("certain-answer semantics requires a UCQ-shaped query")
-    cg = chase(kb, _bound(kb, q, depth))
-    return restrict_filter(sparql_ans(q, cg.graph), active_domain(kb))
+    return can_ans(q, kb, depth)
 
 
 def er_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Entailment-regime answers: certain answers at triple patterns, then
-    the standard operator algebra."""
-    cg = chase(kb, _bound(kb, q, depth))
-    adom = active_domain(kb)
+    the standard operator algebra.
 
-    def rec(node: Query) -> MappingSet:
-        if isinstance(node, TriplePattern):
-            return restrict_filter(sparql_ans(node, cg.graph), adom)
-        if isinstance(node, UnionQ):
-            return rec(node.left) | rec(node.right)
-        if isinstance(node, JoinQ):
-            return join(rec(node.left), rec(node.right))
-        if isinstance(node, OptQ):
-            left, right = rec(node.left), rec(node.right)
-            return join(left, right) | diff(left, right)
-        return project(rec(node.body), node.vars)
-
-    return rec(q)
+    Chase atoms over named individuals are exactly the entailed ABox, so
+    the certain answers to a triple pattern are its matches there.
+    """
+    return sparql_ans(q, entailed_abox(kb))
 
 
 def can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Answers over the canonical model, filtered to the active domain."""
-    cg = chase(kb, _bound(kb, q, depth))
+    cg = chase(kb, default_bound(kb, q) if depth is None else depth)
     return restrict_filter(sparql_ans(q, cg.graph), active_domain(kb))
 
 
 def rest_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Answers over the canonical model, each projected onto its
     active-domain-valued bindings."""
-    cg = chase(kb, _bound(kb, q, depth))
+    cg = chase(kb, default_bound(kb, q) if depth is None else depth)
     return restrict_project(sparql_ans(q, cg.graph), active_domain(kb))
 
 
@@ -108,12 +88,12 @@ def m_can_ans_sjo(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Mapp
     """Maximal admissible canonical answers for UNION-free queries."""
     if not is_union_free(q):
         raise QueryShapeError("SJO semantics requires a UNION-free query")
-    return otimes(rest_can_ans(q, kb, depth), adm(q))
+    return m_can_ans(q, kb, depth)
 
 
 def m_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Maximal admissible canonical answers, per branch, for SUJO queries."""
-    cg = chase(kb, _bound(kb, q, depth))
+    cg = chase(kb, default_bound(kb, q) if depth is None else depth)
     adom = active_domain(kb)
     out: set = set()
     for qb in sorted(branch(q), key=lambda b: repr(b)):

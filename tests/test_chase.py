@@ -80,7 +80,7 @@ class TestChase:
             "Driver(Alice)",
             "hasLicense(Alice, _:Alice|hasLicense)",
         ]
-        assert cg.depth(_w("Alice|hasLicense")) == 1
+        assert dict(cg.depth_of)[_w("Alice|hasLicense")] == 1
 
     def test_role_inclusion_consequences_are_materialized(self):
         cg = chase(load_kb("ex7.kb"), 1)
@@ -172,6 +172,19 @@ class TestEntailedAbox:
     def test_concept_entailment_on_individuals(self):
         kb = parse_kb("TBOX: exists r [= A . ABOX: r(a, b) .")
         assert sorted(str(a) for a in entailed_abox(kb)) == ["A(a)", "r(a, b)"]
+
+    @pytest.mark.parametrize("seed", [1, 5, 29])
+    def test_is_the_named_part_of_every_chase(self, seed):
+        """The chase adds atoms only at anonymous witnesses, so the regime
+        semantics may evaluate over the entailed ABox instead of the chase."""
+        for kb, q in islice(generate_instances(seed, SizeParams()), 100):
+            expected = entailed_abox(kb).atoms
+            for depth in (0, 1, 3, default_bound(kb, q)):
+                named = {
+                    a for a in chase(kb, depth).graph.atoms
+                    if all(t.is_individual for t in a.args)
+                }
+                assert named == expected
 
 
 class TestSatisfiability:

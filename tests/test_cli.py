@@ -76,6 +76,21 @@ class TestChase:
             "Driver(Alice) .\nhasLicense(Alice, _:Alice|hasLicense) .\n"
         )
 
+    def test_default_depth_is_the_library_model_bound(self, tmp_path):
+        # One TBox role gives depth 2*1 + 1 = 3; the ABox-only role knows
+        # does not count.
+        kb = tmp_path / "cycle.kb"
+        kb.write_text(
+            "TBOX: A [= exists r . exists inv(r) [= A . ABOX: A(a) . knows(a, b) ."
+        )
+        code, text = run("chase", "--kb", str(kb))
+        assert code == EXIT_OK
+        assert text == (
+            "A(_:a|r) .\nA(_:a|r|r) .\nA(_:a|r|r|r) .\nA(a) .\n"
+            "knows(a, b) .\nr(_:a|r, _:a|r|r) .\nr(_:a|r|r, _:a|r|r|r) .\n"
+            "r(a, _:a|r) .\n"
+        )
+
     def test_runs_are_byte_identical(self):
         first = run("chase", "--kb", fixture("ex7.kb"))
         second = run("chase", "--kb", fixture("ex7.kb"))
@@ -141,6 +156,15 @@ class TestErrorPaths:
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.kb"
         bad.write_text("TBOX ABOX")
+        code, _ = run(
+            "eval", "--kb", str(bad), "--query", fixture("ex1.sq"),
+            "--semantics", "plain",
+        )
+        assert code == EXIT_PARSE
+
+    def test_non_utf8_input_is_a_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.kb"
+        bad.write_bytes(b"\xff\xfeTBOX: ABOX: A(a) .")
         code, _ = run(
             "eval", "--kb", str(bad), "--query", fixture("ex1.sq"),
             "--semantics", "plain",

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import load_kb, load_query, m, ms
 from sparqlkb.errors import QueryShapeError
-from sparqlkb.graph import Graph, e_ans, sparql_ans, sparql_ans_branch
+from sparqlkb.graph import Graph, sparql_ans, sparql_ans_branch
 from sparqlkb.harness import SizeParams, brute_force_cq_matches, generate_instances
 from sparqlkb.kb import Atom, Var, individual, parse_kb
 from sparqlkb.mappings import extends, set_extends
@@ -106,22 +106,6 @@ class TestBranchEvaluation:
         q = TriplePattern("A", (X,))
         with pytest.raises(QueryShapeError):
             sparql_ans_branch(q, g, TriplePattern("B", (X,)))
-
-
-class TestExtensionClosure:
-    def test_e_ans_is_the_downward_closure(self):
-        g = _graph("TBOX: ABOX: r(a, b) .")
-        assert e_ans(TriplePattern("r", (X, Y)), g) == ms(
-            m(x="a", y="b"), m(x="a"), m(y="b"), m()
-        )
-
-    def test_every_restriction_of_an_answer_is_included(self):
-        g = Graph(load_kb("ex3.kb").abox)
-        q = load_query("ex3.sq")
-        closed = e_ans(q, g)
-        for w in sparql_ans(q, g):
-            for v in w.domain:
-                assert w.restrict(w.domain - {v}) in closed
 
 
 class TestGeneratedProperties:

@@ -15,7 +15,6 @@ from sparqlkb.kb import (
     Term,
     active_domain,
     anonymous,
-    empty_kb,
     exists,
     individual,
     parse_kb,
@@ -154,12 +153,5 @@ class TestDerivedViews:
         )
 
     def test_empty_kb_has_empty_views(self):
-        kb = empty_kb()
+        kb = KnowledgeBase(frozenset(), frozenset())
         assert active_domain(kb) == frozenset()
-        assert kb.concept_names == frozenset()
-        assert kb.role_names == frozenset()
-
-    def test_names_cover_tbox_and_abox(self):
-        kb = load_kb("ex7.kb")
-        assert kb.concept_names == frozenset({"Teacher"})
-        assert kb.role_names == frozenset({"teachesTo", "hasTeacher"})

@@ -7,8 +7,8 @@ import pytest
 from conftest import load_kb, load_query, m, ms
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.harness import SizeParams, generate_instances
-from sparqlkb.kb import Var
-from sparqlkb.query import JoinQ, Select, TriplePattern, UnionQ, adm, parse_query
+from sparqlkb.kb import Var, parse_kb
+from sparqlkb.query import JoinQ, OptQ, Select, TriplePattern, UnionQ, adm, parse_query
 from sparqlkb.semantics import (
     SEMANTICS,
     can_ans,
@@ -21,7 +21,7 @@ from sparqlkb.semantics import (
     rest_can_ans,
 )
 
-X, Y = Var("x"), Var("y")
+X, Y, Z = Var("x"), Var("y"), Var("z")
 
 
 class TestUcqShape:
@@ -120,6 +120,15 @@ class TestUnionProvenance:
         kb = load_kb("ex2.kb")
         q = UnionQ(TriplePattern("Person", (X,)), TriplePattern("Person", (X,)))
         assert m_can_ans(q, kb) == ms(m(x="Alice"))
+
+    def test_branch_keeps_only_answers_of_the_whole_query(self):
+        # The r-branch alone would give {?x=a}; the whole query extends it.
+        kb = parse_kb("TBOX: ABOX: A(a) . s(a, c) .")
+        q = OptQ(
+            TriplePattern("A", (X,)),
+            UnionQ(TriplePattern("r", (X, Y)), TriplePattern("s", (X, Z))),
+        )
+        assert m_can_ans(q, kb) == ms(m(x="a", z="c"))
 
 
 class TestEmptyTBoxRelations:
