@@ -4,6 +4,10 @@ Builds a finite fragment of the canonical model, deep enough for query
 evaluation at desk scale.  Anonymous witnesses are named by their creation
 path (``_:Alice|teachesTo|knows-``) so that chase output is textually stable;
 a trailing ``-`` on a path segment marks an inverse-role step.
+
+The chase is type-based: a named individual's type comes from the saturated
+ABox, and a witness created through role r has the type closure(∃r⁻), since
+its only edges are r and r's super-roles from its parent.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ def _transitive_closure(pairs: set[tuple], domain: set) -> set[tuple]:
     return closure
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def saturate(tbox: frozenset) -> SaturatedTBox:
     """Least fixpoint of the inclusion/disjointness closure rules."""
     role_names: set[str] = set()
@@ -122,37 +126,39 @@ class ChaseSizeExceeded(Exception):
     """Internal guard used by the instance generator to skip blowups."""
 
 
-def _term_index(atoms: set[Atom]) -> dict[Term, set[Atom]]:
-    index: dict[Term, set[Atom]] = {}
-    for atom in atoms:
-        for t in atom.args:
-            index.setdefault(t, set()).add(atom)
-    return index
-
-
-def _satisfied_basics(term: Term, atoms: set[Atom]) -> set[BasicConcept]:
-    """Basic concepts term satisfies; atoms may be pre-filtered to those
-    incident to term."""
-    out: set[BasicConcept] = set()
-    for atom in atoms:
-        if len(atom.args) == 1 and atom.args[0] == term:
-            out.add(BasicConcept("atomic", atom.predicate))
-        elif len(atom.args) == 2:
-            if atom.args[0] == term:
-                out.add(exists(RoleExpr(atom.predicate)))
-            if atom.args[1] == term:
-                out.add(exists(RoleExpr(atom.predicate, inverse=True)))
-    return out
-
-
-def _entailed_basics(
-    term: Term, atoms: set[Atom], sat: SaturatedTBox
-) -> set[BasicConcept]:
-    satisfied = _satisfied_basics(term, atoms)
+def _type(
+    satisfied: set[BasicConcept], sat: SaturatedTBox
+) -> tuple[frozenset[BasicConcept], list[RoleExpr]]:
+    """The basic concepts an element satisfying `satisfied` is entailed to
+    have, and the roles it must fire: the unsatisfied existentials that
+    are sub-role-minimal, and of several equivalent ones the first in
+    sorted order.  A witness edge for r is saturated to every super-role
+    of r, so firing any other would create a redundant witness."""
     entailed = set(satisfied)
-    for b in satisfied:
-        entailed.update(c for (p, c) in sat.concept_closure if p == b)
-    return entailed
+    entailed.update(c for (b, c) in sat.concept_closure if b in satisfied)
+    unsatisfied = sorted(
+        b.role for b in entailed if b.kind != "atomic" and b not in satisfied
+    )
+    fire = [
+        r
+        for r in unsatisfied
+        if not any(
+            s != r
+            and (s, r) in sat.role_closure
+            and (s < r or (r, s) not in sat.role_closure)
+            for s in unsatisfied
+        )
+    ]
+    return frozenset(entailed), fire
+
+
+def _witness_type(
+    r: RoleExpr, sat: SaturatedTBox
+) -> tuple[list[RoleExpr], frozenset[BasicConcept], list[RoleExpr]]:
+    """Edge roles from its parent, entailed concepts and fired roles of a
+    witness created through r."""
+    supers = sat.super_roles(r)
+    return (supers, *_type({exists(s.inverted()) for s in supers}, sat))
 
 
 def _role_atom(r: RoleExpr, src: Term, dst: Term) -> Atom:
@@ -162,30 +168,26 @@ def _role_atom(r: RoleExpr, src: Term, dst: Term) -> Atom:
     return Atom(r.name, (src, dst))
 
 
-def _has_successor(r: RoleExpr, term: Term, atoms: set[Atom]) -> bool:
-    for atom in atoms:
-        if atom.predicate != r.name or len(atom.args) != 2:
-            continue
-        if not r.inverse and atom.args[0] == term:
-            return True
-        if r.inverse and atom.args[1] == term:
-            return True
-    return False
-
-
-def _saturated_abox(kb: KnowledgeBase, sat: SaturatedTBox) -> set[Atom]:
+def _saturated_abox(
+    kb: KnowledgeBase, sat: SaturatedTBox
+) -> tuple[set[Atom], dict[Term, tuple[frozenset[BasicConcept], list[RoleExpr]]]]:
+    """The entailed ABox atoms, and the type of every named individual."""
     atoms: set[Atom] = set(kb.abox)
     for atom in kb.abox:
         if len(atom.args) == 2:
-            r = RoleExpr(atom.predicate)
-            for s in sat.super_roles(r):
-                atoms.add(_role_atom(s, atom.args[0], atom.args[1]))
-    index = _term_index(atoms)
-    for term in sorted(active_domain(kb)):
-        for b in _entailed_basics(term, index.get(term, set()), sat):
-            if b.kind == "atomic":
-                atoms.add(Atom(b.name, (term,)))
-    return atoms
+            for s in sat.super_roles(RoleExpr(atom.predicate)):
+                atoms.add(_role_atom(s, *atom.args))
+    satisfied: dict[Term, set[BasicConcept]] = {t: set() for t in active_domain(kb)}
+    for atom in atoms:
+        if len(atom.args) == 1:
+            satisfied[atom.args[0]].add(BasicConcept("atomic", atom.predicate))
+        else:
+            satisfied[atom.args[0]].add(exists(RoleExpr(atom.predicate)))
+            satisfied[atom.args[1]].add(exists(RoleExpr(atom.predicate, True)))
+    types = {t: _type(basics, sat) for t, basics in satisfied.items()}
+    for t, (entailed, _) in types.items():
+        atoms.update(Atom(b.name, (t,)) for b in entailed if b.kind == "atomic")
+    return atoms, types
 
 
 def _witness_name(parent: Term, r: RoleExpr) -> str:
@@ -197,64 +199,29 @@ def _build_chase(
     kb: KnowledgeBase, bound: int, max_elements: int | None = None
 ) -> ChaseGraph:
     sat = saturate(kb.tbox)
-    atoms = _saturated_abox(kb, sat)
-    index = _term_index(atoms)
-
-    def add(atom: Atom) -> None:
-        if atom not in atoms:
-            atoms.add(atom)
-            for t in atom.args:
-                index.setdefault(t, set()).add(atom)
-
+    atoms, types = _saturated_abox(kb, sat)
+    witness_types: dict[RoleExpr, tuple] = {}
     depth_of: dict[str, int] = {}
-    queue: deque[tuple[Term, int]] = deque(
-        (t, 0) for t in sorted(active_domain(kb))
+    queue: deque[tuple[Term, int, list[RoleExpr]]] = deque(
+        (t, 0, types[t][1]) for t in sorted(types)
     )
     while queue:
-        term, depth = queue.popleft()
+        term, depth, fire = queue.popleft()
         if depth >= bound:
             continue
-        incident = index.setdefault(term, set())
-        # Re-derive requirements until no witness is added: a witness created
-        # here can feed new entailments back into the same element.
-        while True:
-            created = False
-            entailed = _entailed_basics(term, incident, sat)
-            unsatisfied = sorted(
-                b.role
-                for b in entailed
-                if b.kind != "atomic" and not _has_successor(b.role, term, incident)
+        for r in fire:
+            witness = anonymous(_witness_name(term, r))
+            depth_of[witness.name] = depth + 1
+            if max_elements is not None and len(depth_of) > max_elements:
+                raise ChaseSizeExceeded()
+            if r not in witness_types:
+                witness_types[r] = _witness_type(r, sat)
+            supers, entailed, witness_fire = witness_types[r]
+            atoms.update(_role_atom(s, term, witness) for s in supers)
+            atoms.update(
+                Atom(b.name, (witness,)) for b in entailed if b.kind == "atomic"
             )
-            # Fire only the sub-role-minimal requirements: the witness edge
-            # for s is saturated to every super-role of s, so firing a strict
-            # super-role separately would create a redundant witness.
-            requirements = [
-                r
-                for r in unsatisfied
-                if not any(
-                    s != r
-                    and (s, r) in sat.role_closure
-                    and (r, s) not in sat.role_closure
-                    for s in unsatisfied
-                )
-            ]
-            for r in requirements:
-                if _has_successor(r, term, incident):
-                    continue
-                witness = anonymous(_witness_name(term, r))
-                depth_of[witness.name] = depth + 1
-                if max_elements is not None and len(depth_of) > max_elements:
-                    raise ChaseSizeExceeded()
-                add(_role_atom(r, term, witness))
-                for s in sat.super_roles(r):
-                    add(_role_atom(s, term, witness))
-                for b in _entailed_basics(witness, index[witness], sat):
-                    if b.kind == "atomic":
-                        add(Atom(b.name, (witness,)))
-                queue.append((witness, depth + 1))
-                created = True
-            if not created:
-                break
+            queue.append((witness, depth + 1, witness_fire))
     return ChaseGraph(Graph(atoms), tuple(sorted(depth_of.items())), bound, kb)
 
 
@@ -280,19 +247,28 @@ def default_bound(kb: KnowledgeBase, q: Query) -> int:
 
 @lru_cache(maxsize=256)
 def is_satisfiable(kb: KnowledgeBase) -> bool:
-    """No chase element may satisfy two concepts declared disjoint."""
+    """No element of the canonical model may have a type holding two
+    concepts declared disjoint.  Its types are the named individuals' and
+    closure(∃r⁻) for every role r reachable from them through fired roles."""
     sat = saturate(kb.tbox)
     if not sat.disjointness_closure:
         return True
-    probe = _build_chase(kb, model_bound(kb))
-    index = _term_index(set(probe.graph.atoms))
-    elements = sorted(probe.graph.terms())
-    for term in elements:
-        entailed = _entailed_basics(term, index.get(term, set()), sat)
-        for (b1, b2) in sat.disjointness_closure:
-            if b1 in entailed and b2 in entailed:
-                return False
-    return True
+    _, types = _saturated_abox(kb, sat)
+    entailed_types = [entailed for entailed, _ in types.values()]
+    pending = [r for _, fire in types.values() for r in fire]
+    reached: set[RoleExpr] = set()
+    while pending:
+        r = pending.pop()
+        if r not in reached:
+            reached.add(r)
+            _, entailed, fire = _witness_type(r, sat)
+            entailed_types.append(entailed)
+            pending.extend(fire)
+    return not any(
+        b1 in entailed and b2 in entailed
+        for entailed in entailed_types
+        for (b1, b2) in sat.disjointness_closure
+    )
 
 
 @lru_cache(maxsize=256)
@@ -300,5 +276,4 @@ def entailed_abox(kb: KnowledgeBase) -> Graph:
     """All atoms over the active domain entailed by the KB."""
     if not is_satisfiable(kb):
         raise UnsatisfiableKbError("knowledge base is unsatisfiable")
-    sat = saturate(kb.tbox)
-    return Graph(_saturated_abox(kb, sat))
+    return Graph(_saturated_abox(kb, saturate(kb.tbox))[0])

@@ -95,11 +95,7 @@ def _cmd_analyze(args, out) -> int:
 def _cmd_check(args, out) -> int:
     kb = _load_kb(args.kb)
     q = _load_query(args.query)
-    req_ids = (
-        [int(r) for r in args.requirements.split(",")]
-        if args.requirements
-        else [1, 2, 3, 4, 5]
-    )
+    req_ids = args.requirements or [1, 2, 3, 4, 5]
     semantics = list(SEMANTICS) if args.all_semantics else ["mcan"]
     instance = f"{args.kb}:{args.query}"
     any_fail = False
@@ -115,7 +111,10 @@ def _cmd_gen(args, out) -> int:
     seed = args.seed
     env_seed = os.environ.get("MCAN_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise SparqlKbError(f"MCAN_SEED must be an integer, got {env_seed!r}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stream = generate_instances(seed, SizeParams())
@@ -124,6 +123,22 @@ def _cmd_gen(args, out) -> int:
         (out_dir / f"{i:04d}.sq").write_text(serialize_query(q) + "\n", encoding="utf-8")
         print(f"{i:04d}: {describe_instance(kb, q)}", file=out)
     return EXIT_OK
+
+
+def _requirement_ids(text: str) -> list[int]:
+    try:
+        ids = [int(r) for r in text.split(",")]
+    except ValueError:
+        ids = []
+    if not ids or not all(1 <= i <= 5 for i in ids):
+        raise argparse.ArgumentTypeError(f"expected ids in 1..5 separated by commas, got {text!r}")
+    return ids
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run requirement checks")
     p_check.add_argument("--kb", required=True)
     p_check.add_argument("--query", required=True)
-    p_check.add_argument("--requirements", default=None)
+    p_check.add_argument("--requirements", type=_requirement_ids, default=None)
     p_check.add_argument("--all-semantics", action="store_true")
     p_check.set_defaults(fn=_cmd_check)
 
     p_gen = sub.add_parser("gen", help="write generated instances to a directory")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--count", type=int, default=10)
+    p_gen.add_argument("--count", type=_count, default=10)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(fn=_cmd_gen)
 

@@ -107,7 +107,7 @@ def is_union_free(q: Query) -> bool:
     return is_union_free(q.left) and is_union_free(q.right)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def adm(q: Query) -> VarSetFamily:
     """Family of admissible bound-variable sets (relaxed, inductive)."""
     if isinstance(q, TriplePattern):
@@ -121,7 +121,7 @@ def adm(q: Query) -> VarSetFamily:
     return adm(q.left) | adm(q.right)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def branch(q: Query) -> frozenset[Query]:
     """The UNION-free queries obtained by picking one operand of each UNION."""
     if isinstance(q, TriplePattern):
@@ -147,7 +147,7 @@ def _min_sets(family: frozenset[VarSet]) -> frozenset[VarSet]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def base(q: Query) -> VarSetFamily:
     """Linear-size generating family whose nonempty unions produce adm(q).
 

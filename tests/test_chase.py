@@ -1,28 +1,38 @@
 """TBox saturation, the deterministic chase, and satisfiability."""
 
+import random
 from itertools import islice
 
 import pytest
 
 from conftest import load_kb, load_query
+from sparqlkb import chase as chase_module
 from sparqlkb.chase import (
     ChaseGraph,
     chase,
     default_bound,
     entailed_abox,
     is_satisfiable,
+    model_bound,
     saturate,
 )
 from sparqlkb.errors import UnsatisfiableKbError
 from sparqlkb.harness import SizeParams, generate_instances
 from sparqlkb.kb import (
+    Atom,
     BasicConcept,
+    ConceptDisjointness,
+    ConceptInclusion,
+    KnowledgeBase,
     RoleExpr,
+    RoleInclusion,
     anonymous,
     exists,
+    individual,
     parse_kb,
 )
 from sparqlkb.query import parse_query
+from sparqlkb.semantics import m_can_ans
 
 
 class TestSaturate:
@@ -117,6 +127,15 @@ class TestChase:
         cg = chase(kb, 3)
         assert cg.depth_of == ()
 
+    def test_of_equivalent_roles_the_first_fires(self):
+        kb = parse_kb(
+            "TBOX: A [= exists s . A [= exists r . r [= s . s [= r . ABOX: A(a) ."
+        )
+        cg = chase(kb, 1)
+        assert sorted(str(a) for a in cg.graph) == [
+            "A(a)", "r(a, _:a|r)", "s(a, _:a|r)",
+        ]
+
     def test_no_duplicate_witness_per_role(self):
         for kb, q in islice(generate_instances(23, SizeParams()), 60):
             cg = chase(kb, default_bound(kb, q))
@@ -125,6 +144,47 @@ class TestChase:
                 parent, _, step = name.rpartition("|")
                 assert (parent, step) not in seen
                 seen.add((parent, step))
+
+    def test_a_witness_type_depends_only_on_its_role(self):
+        """Witnesses created through the same role (the same last path
+        segment) and expanded below the bound have equal atomic concepts
+        and equal child segments."""
+        for kb, q in islice(generate_instances(23, SizeParams()), 60):
+            cg = chase(kb, default_bound(kb, q))
+            concepts: dict[str, set[str]] = {}
+            children: dict[str, set[str]] = {}
+            for atom in cg.graph.atoms:
+                if len(atom.args) == 1 and not atom.args[0].is_individual:
+                    concepts.setdefault(atom.args[0].name, set()).add(atom.predicate)
+            for name, _ in cg.depth_of:
+                parent, _, step = name.rpartition("|")
+                children.setdefault(parent, set()).add(step)
+            seen: dict[str, tuple] = {}
+            for name, depth in cg.depth_of:
+                if depth < cg.bound:
+                    step = name.rpartition("|")[2]
+                    shape = (concepts.get(name, set()), children.get(name, set()))
+                    assert seen.setdefault(step, shape) == shape
+
+    def test_one_build_per_request(self, monkeypatch):
+        builds = []
+        build = chase_module._build_chase
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(chase_module, "_build_chase", counting_build)
+        chase.cache_clear()
+        is_satisfiable.cache_clear()
+        kb = parse_kb(
+            "TBOX: A [= exists r . exists inv(r) [= B . B [= not C . ABOX: A(a) ."
+        )
+        m_can_ans(parse_query("r(?x, ?y)"), kb)
+        assert len(builds) == 1
+        builds.clear()
+        assert not is_satisfiable(parse_kb("TBOX: A [= not B . ABOX: A(c) . B(c) ."))
+        assert builds == []
 
     def test_determinism(self):
         kb = load_kb("ex7.kb")
@@ -213,6 +273,73 @@ class TestSatisfiability:
             " B [= not C . ABOX: A(a) ."
         )
         assert not is_satisfiable(kb)
+
+    def test_agrees_with_the_probe_on_dense_kbs(self):
+        for seed in range(400):
+            kb = _dense_kb(random.Random(seed))
+            assert is_satisfiable(kb) == _probe_is_satisfiable(kb), seed
+
+    def test_agrees_with_the_probe_on_generated_instances(self):
+        for kb, _ in islice(generate_instances(5, SizeParams()), 100):
+            assert is_satisfiable(kb) == _probe_is_satisfiable(kb)
+
+
+def _probe_is_satisfiable(kb: KnowledgeBase) -> bool:
+    """Reference oracle: chase the KB without its disjointness axioms to
+    model_bound(kb), then look for an element whose entailed type (its
+    incident atoms closed under the concept closure) holds a disjoint pair."""
+    sat = saturate(kb.tbox)
+    tbox = frozenset(ax for ax in kb.tbox if not isinstance(ax, ConceptDisjointness))
+    probe = chase(KnowledgeBase(tbox, kb.abox), model_bound(kb))
+    satisfied: dict = {}
+    for atom in probe.graph.atoms:
+        if len(atom.args) == 1:
+            satisfied.setdefault(atom.args[0], set()).add(
+                BasicConcept("atomic", atom.predicate)
+            )
+        else:
+            satisfied.setdefault(atom.args[0], set()).add(exists(RoleExpr(atom.predicate)))
+            satisfied.setdefault(atom.args[1], set()).add(
+                exists(RoleExpr(atom.predicate, inverse=True))
+            )
+    for basics in satisfied.values():
+        entailed = basics | {c for (b, c) in sat.concept_closure if b in basics}
+        for (b1, b2) in sat.disjointness_closure:
+            if b1 in entailed and b2 in entailed:
+                return False
+    return True
+
+
+def _dense_kb(rng: random.Random) -> KnowledgeBase:
+    """3 concepts, 3 roles, 4 individuals; 1-7 concept inclusions, 0-3 role
+    inclusions (40 % inverses), 0-2 disjointness axioms, 0-5 facts."""
+    concepts, roles, inds = ["A", "B", "C"], ["r", "s", "t"], ["a", "b", "c", "d"]
+
+    def basic() -> BasicConcept:
+        kind = rng.choice(["atomic", "exists", "exists_inv"])
+        return BasicConcept(kind, rng.choice(concepts if kind == "atomic" else roles))
+
+    def role() -> RoleExpr:
+        return RoleExpr(rng.choice(roles), rng.random() < 0.4)
+
+    tbox: set = set()
+    for count, make, axiom in (
+        (rng.randint(1, 7), basic, ConceptInclusion),
+        (rng.randint(0, 3), role, RoleInclusion),
+        (rng.randint(0, 2), basic, ConceptDisjointness),
+    ):
+        for _ in range(count):
+            lhs, rhs = make(), make()
+            if lhs != rhs:
+                tbox.add(axiom(lhs, rhs))
+    abox = set()
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.5:
+            abox.add(Atom(rng.choice(concepts), (individual(rng.choice(inds)),)))
+        else:
+            args = (individual(rng.choice(inds)), individual(rng.choice(inds)))
+            abox.add(Atom(rng.choice(roles), args))
+    return KnowledgeBase(frozenset(tbox), frozenset(abox))
 
 
 def _w(path: str) -> str:

@@ -190,3 +190,23 @@ class TestErrorPaths:
     def test_unknown_subcommand_is_usage(self):
         code, _ = run("frobnicate")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("ids", ["x", "7"])
+    def test_bad_requirement_ids_are_usage(self, ids, capsys):
+        code, text = run(
+            "check", "--kb", fixture("ex7.kb"), "--query", fixture("ex7.sq"),
+            "--requirements", ids,
+        )
+        assert code == EXIT_USAGE and text == ""
+        assert "expected ids in 1..5" in capsys.readouterr().err
+
+    def test_negative_count_is_usage(self, tmp_path, capsys):
+        code, _ = run("gen", "--count", "-1", "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "expected a non-negative integer" in capsys.readouterr().err
+
+    def test_non_integer_env_seed_is_usage(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MCAN_SEED", "abc")
+        code, _ = run("gen", "--count", "1", "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "MCAN_SEED must be an integer" in capsys.readouterr().err

@@ -1,6 +1,11 @@
 """Query AST, parser, and the static analyses (vars, adm, branch, base)."""
 
+import importlib
+import pkgutil
+
 import pytest
+
+import sparqlkb
 
 from conftest import FIXTURES, fam, V, load_query
 from sparqlkb.errors import ParseError, QueryShapeError
@@ -202,3 +207,16 @@ class TestAdmissibility:
 
     def test_max_subsets_of_empty_domain_is_empty(self):
         assert max_admissible_subsets(OPT_JOIN, frozenset()) == frozenset()
+
+
+def test_every_cache_is_bounded():
+    caches = []
+    for info in pkgutil.iter_modules(sparqlkb.__path__, "sparqlkb."):
+        module = importlib.import_module(info.name)
+        caches.extend(
+            (info.name, name, obj.cache_parameters()["maxsize"])
+            for name, obj in vars(module).items()
+            if hasattr(obj, "cache_parameters") and obj.__module__ == info.name
+        )
+    assert caches
+    assert [c for c in caches if c[2] is None] == []
