@@ -184,7 +184,13 @@ def _saturated_abox(
         else:
             satisfied[atom.args[0]].add(exists(RoleExpr(atom.predicate)))
             satisfied[atom.args[1]].add(exists(RoleExpr(atom.predicate, True)))
-    types = {t: _type(basics, sat) for t, basics in satisfied.items()}
+    by_basics: dict[frozenset[BasicConcept], tuple] = {}
+    types = {}
+    for t, basics in satisfied.items():
+        key = frozenset(basics)
+        if key not in by_basics:
+            by_basics[key] = _type(basics, sat)
+        types[t] = by_basics[key]
     for t, (entailed, _) in types.items():
         atoms.update(Atom(b.name, (t,)) for b in entailed if b.kind == "atomic")
     return atoms, types
@@ -199,7 +205,7 @@ def _build_chase(
     kb: KnowledgeBase, bound: int, max_elements: int | None = None
 ) -> ChaseGraph:
     sat = saturate(kb.tbox)
-    atoms, types = _saturated_abox(kb, sat)
+    atoms, types = _checked_abox(kb, sat)
     witness_types: dict[RoleExpr, tuple] = {}
     depth_of: dict[str, int] = {}
     queue: deque[tuple[Term, int, list[RoleExpr]]] = deque(
@@ -225,11 +231,11 @@ def _build_chase(
     return ChaseGraph(Graph(atoms), tuple(sorted(depth_of.items())), bound, kb)
 
 
-@lru_cache(maxsize=256)
+# Small caches: a request rarely reuses another's KB, and every entry keeps
+# a whole model alive, which lengthens full garbage collections.
+@lru_cache(maxsize=8)
 def chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     """Restricted chase up to the given witness depth; rejects unsat KBs."""
-    if not is_satisfiable(kb):
-        raise UnsatisfiableKbError("knowledge base is unsatisfiable")
     return _build_chase(kb, bound)
 
 
@@ -245,16 +251,26 @@ def default_bound(kb: KnowledgeBase, q: Query) -> int:
     return model_bound(kb) + triple_pattern_count(q)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def is_satisfiable(kb: KnowledgeBase) -> bool:
     """No element of the canonical model may have a type holding two
-    concepts declared disjoint.  Its types are the named individuals' and
-    closure(∃r⁻) for every role r reachable from them through fired roles."""
+    concepts declared disjoint."""
     sat = saturate(kb.tbox)
     if not sat.disjointness_closure:
         return True
-    _, types = _saturated_abox(kb, sat)
-    entailed_types = [entailed for entailed, _ in types.values()]
+    return _consistent(_saturated_abox(kb, sat)[1], sat)
+
+
+def _consistent(
+    types: dict[Term, tuple[frozenset[BasicConcept], list[RoleExpr]]],
+    sat: SaturatedTBox,
+) -> bool:
+    """Whether no type of the canonical model holds a disjoint pair.  Its
+    types are the named individuals' `types` and closure(∃r⁻) for every
+    role r reachable from them through fired roles."""
+    if not sat.disjointness_closure:
+        return True
+    entailed_types = {entailed for entailed, _ in types.values()}
     pending = [r for _, fire in types.values() for r in fire]
     reached: set[RoleExpr] = set()
     while pending:
@@ -262,7 +278,7 @@ def is_satisfiable(kb: KnowledgeBase) -> bool:
         if r not in reached:
             reached.add(r)
             _, entailed, fire = _witness_type(r, sat)
-            entailed_types.append(entailed)
+            entailed_types.add(entailed)
             pending.extend(fire)
     return not any(
         b1 in entailed and b2 in entailed
@@ -271,9 +287,15 @@ def is_satisfiable(kb: KnowledgeBase) -> bool:
     )
 
 
-@lru_cache(maxsize=256)
+def _checked_abox(kb: KnowledgeBase, sat: SaturatedTBox):
+    """`_saturated_abox(kb, sat)`, raising if the KB is unsatisfiable."""
+    atoms, types = _saturated_abox(kb, sat)
+    if not _consistent(types, sat):
+        raise UnsatisfiableKbError("knowledge base is unsatisfiable")
+    return atoms, types
+
+
+@lru_cache(maxsize=8)
 def entailed_abox(kb: KnowledgeBase) -> Graph:
     """All atoms over the active domain entailed by the KB."""
-    if not is_satisfiable(kb):
-        raise UnsatisfiableKbError("knowledge base is unsatisfiable")
-    return Graph(_saturated_abox(kb, saturate(kb.tbox))[0])
+    return Graph(_checked_abox(kb, saturate(kb.tbox))[0])

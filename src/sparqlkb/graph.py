@@ -22,7 +22,7 @@ class Graph:
     def __init__(self, atoms: Iterable[Atom]):
         self.atoms: frozenset[Atom] = frozenset(atoms)
         index: dict[str, list[Atom]] = {}
-        for atom in sorted(self.atoms):
+        for atom in self.atoms:
             index.setdefault(atom.predicate, []).append(atom)
         self._by_predicate = index
 

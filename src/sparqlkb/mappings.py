@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .kb import Term, Var
@@ -79,18 +80,49 @@ def set_extends(omega1: MappingSet, omega2: MappingSet) -> bool:
     return all(any(extends(w1, w2) for w2 in omega2) for w1 in omega1)
 
 
+def _partition(omega1: MappingSet, omega2: MappingSet):
+    """Hash-partition Ω2 on the variables that every row of Ω1 and Ω2
+    binds: rows that differ there are incompatible, so a row of Ω1 need
+    only be checked against its own bucket.  With no such variable the
+    key is () and the one bucket holds all of Ω2."""
+    shared = {v for v, _ in next(iter(omega1)).bindings}
+    for w in chain(omega1, omega2):
+        if not shared:
+            break
+        shared.intersection_update(v for v, _ in w.bindings)
+
+    def key(w: SolutionMapping) -> tuple[Term, ...]:
+        # bindings are sorted by variable, so the values come in one order
+        return tuple(t for v, t in w.bindings if v in shared)
+
+    buckets: dict[tuple[Term, ...], list[SolutionMapping]] = {}
+    for w2 in omega2:
+        buckets.setdefault(key(w2), []).append(w2)
+    return key, buckets
+
+
 def join(omega1: MappingSet, omega2: MappingSet) -> MappingSet:
+    """Ω1 ⋈ Ω2 as a hash join; `compatible` checks the unkeyed variables."""
+    if not omega1 or not omega2:
+        return frozenset()
+    key, buckets = _partition(omega1, omega2)
     return frozenset(
         merge(w1, w2)
         for w1 in omega1
-        for w2 in omega2
+        for w2 in buckets.get(key(w1), ())
         if compatible(w1, w2)
     )
 
 
 def diff(omega1: MappingSet, omega2: MappingSet) -> MappingSet:
+    """Ω1 ∖ Ω2 as a hash anti-join on the same partition as `join`."""
+    if not omega1 or not omega2:
+        return frozenset(omega1)
+    key, buckets = _partition(omega1, omega2)
     return frozenset(
-        w1 for w1 in omega1 if not any(compatible(w1, w2) for w2 in omega2)
+        w1
+        for w1 in omega1
+        if not any(compatible(w1, w2) for w2 in buckets.get(key(w1), ()))
     )
 
 

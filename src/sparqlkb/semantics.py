@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from .chase import chase, default_bound, entailed_abox
 from .errors import QueryShapeError
-from .graph import Graph, sparql_ans, sparql_ans_branch
 from .kb import KnowledgeBase, active_domain
-# join, diff and project are unused here; the benchmark tracer looks them up in this module.
+# sparql_ans_branch, join, diff and project are unused here; the benchmark
+# tracer looks them up in this module.
+from .graph import Graph, sparql_ans, sparql_ans_branch
 from .mappings import MappingSet, join, diff, project, otimes, restrict_filter, restrict_project
 from .query import (
     JoinQ,
@@ -95,9 +96,12 @@ def m_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingS
     """Maximal admissible canonical answers, per branch, for SUJO queries."""
     cg = chase(kb, default_bound(kb, q) if depth is None else depth)
     adom = active_domain(kb)
+    full = sparql_ans(q, cg.graph)
     out: set = set()
     for qb in sorted(branch(q), key=lambda b: repr(b)):
-        restricted = restrict_project(sparql_ans_branch(q, cg.graph, qb), adom)
+        # sparql_ans_branch(q, cg.graph, qb), with q evaluated once
+        answers = full if qb == q else full & sparql_ans(qb, cg.graph)
+        restricted = restrict_project(answers, adom)
         out.update(otimes(restricted, adm(qb)))
     return frozenset(out)
 

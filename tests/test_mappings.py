@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import m, ms, V
+import sparqlkb.mappings as mappings_module
 from sparqlkb.kb import Var, individual
 from sparqlkb.mappings import (
     EMPTY_MAPPING,
@@ -29,6 +30,39 @@ mapping_sets = st.frozensets(mappings, max_size=6)
 var_sets = st.frozensets(_VARS, max_size=4)
 term_sets = st.frozensets(_TERMS, max_size=3)
 families = st.frozensets(var_sets, min_size=1, max_size=5)
+
+
+def _rows(always: frozenset, pool: str):
+    """Mapping sets whose rows bind every variable in `always` and any
+    others from `pool`, so row domains differ as under OPT and UNION."""
+    fixed = st.fixed_dictionaries({v: _TERMS for v in always})
+    extra = st.dictionaries(st.sampled_from([Var(n) for n in pool]), _TERMS, max_size=3)
+    row = st.builds(lambda f, e: SolutionMapping.of({**e, **f}), fixed, extra)
+    return st.frozensets(row, max_size=8)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(Ω1, Ω2), either with variables both sides always bind, or over
+    disjoint variable pools, so that no variable is shared."""
+    if draw(st.booleans()):
+        always = draw(st.frozensets(_VARS, max_size=2))
+        return draw(_rows(always, "xyzvw")), draw(_rows(always, "xyzvw"))
+    return draw(_rows(frozenset(), "xyz")), draw(_rows(frozenset(), "vw"))
+
+
+def nested_loop_join(omega1, omega2):
+    """Reference: Ω1 ⋈ Ω2 by checking every pair of rows."""
+    return frozenset(
+        merge(w1, w2) for w1 in omega1 for w2 in omega2 if compatible(w1, w2)
+    )
+
+
+def nested_loop_diff(omega1, omega2):
+    """Reference: Ω1 ∖ Ω2 by checking every pair of rows."""
+    return frozenset(
+        w1 for w1 in omega1 if not any(compatible(w1, w2) for w2 in omega2)
+    )
 
 
 class TestSolutionMapping:
@@ -81,6 +115,36 @@ class TestJoin:
         if compatible(w1, w2):
             merged = merge(w1, w2)
             assert extends(w1, merged) and extends(w2, merged)
+
+
+class TestHashAlgebra:
+    @given(operand_pairs())
+    def test_join_matches_the_nested_loop(self, operands):
+        assert join(*operands) == nested_loop_join(*operands)
+
+    @given(operand_pairs())
+    def test_diff_matches_the_nested_loop(self, operands):
+        assert diff(*operands) == nested_loop_diff(*operands)
+
+    @given(mapping_sets, mapping_sets)
+    def test_arbitrary_domains_match_the_nested_loop(self, o1, o2):
+        assert join(o1, o2) == nested_loop_join(o1, o2)
+        assert diff(o1, o2) == nested_loop_diff(o1, o2)
+
+    def test_join_checks_only_rows_with_equal_keys(self, monkeypatch):
+        calls = []
+        check = mappings_module.compatible
+
+        def counting(w1, w2):
+            calls.append(None)
+            return check(w1, w2)
+
+        monkeypatch.setattr(mappings_module, "compatible", counting)
+        left = frozenset(m(x=f"c{i}", y=f"a{i}") for i in range(2000))
+        right = frozenset(m(x=f"c{i + 1000}", z=f"b{i}") for i in range(2000))
+        out = join(left, right)
+        assert len(out) == 1000
+        assert len(calls) <= len(left) + len(out)
 
 
 class TestDiffAndProject:
