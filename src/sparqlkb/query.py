@@ -28,6 +28,10 @@ VarSetFamily = frozenset[VarSet]
 
 _KEYWORDS = {"SELECT", "UNION", "JOIN", "OPT"}
 
+# Operators nested deeper than this are refused when parsing: the analyses
+# and the evaluator recurse over the query tree.
+_MAX_NESTING = 256
+
 
 @dataclass(frozen=True)
 class TriplePattern:
@@ -141,69 +145,85 @@ def branch(q: Query) -> frozenset[Query]:
     )
 
 
-def _min_sets(family: frozenset[VarSet]) -> frozenset[VarSet]:
-    return frozenset(
-        x for x in family if not any(y < x for y in family)
-    )
-
-
 @lru_cache(maxsize=256)
+def _base(q: Query) -> VarSetFamily:
+    """base(q) for any UNION-free query.
+
+    Every member contains the family's minimum, and the unions of nonempty
+    subfamilies are exactly adm(q).  JOIN and OPT make one member from each
+    member of either operand, so |_base(q)| <= triple_pattern_count(q).
+    """
+    if isinstance(q, TriplePattern):
+        return frozenset({query_vars(q)})
+    if isinstance(q, Select):
+        # intersection distributes over union
+        return frozenset(b & q.vars for b in _base(q.body))
+    if isinstance(q, UnionQ):
+        raise QueryShapeError("base(q) is defined for UNION-free queries only")
+    b1, b2 = _base(q.left), _base(q.right)
+    anchored = frozenset(_min_of(b1) | y for y in b2)
+    if isinstance(q, OptQ):
+        # base(JOIN(l, r)) would add x ∪ min(l) ∪ min(r) for each x in
+        # base(l): the union of two members already here.
+        return b1 | anchored
+    m2 = _min_of(b2)
+    return frozenset(x | m2 for x in b1) | anchored
+
+
+def _min_of(family: VarSetFamily) -> VarSet:
+    """The unique ⊆-minimum of a base family: every member contains it."""
+    low = frozenset.intersection(*family)
+    assert low in family, f"base minimum not unique: {sorted(map(sorted, family))}"
+    return low
+
+
 def base(q: Query) -> VarSetFamily:
     """Linear-size generating family whose nonempty unions produce adm(q).
 
     Defined for JOIN/OPT queries only.
     """
-    if isinstance(q, TriplePattern):
-        return frozenset({query_vars(q)})
-    if isinstance(q, JoinQ):
-        b1, b2 = base(q.left), base(q.right)
-        m1, m2 = _min_sets(b1), _min_sets(b2)
-        return frozenset(x | y for x in m1 for y in b2) | frozenset(
-            x | y for x in b1 for y in m2
-        )
-    if isinstance(q, OptQ):
-        return base(q.left) | base(JoinQ(q.left, q.right))
-    raise QueryShapeError("base(q) is defined for JOIN/OPT queries only")
+    if not is_jo(q):
+        raise QueryShapeError("base(q) is defined for JOIN/OPT queries only")
+    return _base(q)
 
 
 def min_base(q: Query) -> VarSet:
     """The unique ⊆-minimum of base(q)."""
-    mins = _min_sets(base(q))
-    assert len(mins) == 1, f"base minimum not unique: {mins}"
-    return next(iter(mins))
+    return _min_of(_base(q))
+
+
+def _top_inside(q: Query, x: VarSet) -> VarSet | None:
+    """The largest admissible subset of x, or None if there is none: the
+    union of the base members inside x, provided the minimum is one of them."""
+    family = _base(q)
+    if not _min_of(family) <= x:
+        return None
+    top: set[Var] = set()
+    for b in family:
+        if b <= x:
+            top.update(b)
+    return frozenset(top)
 
 
 def is_admissible(q: Query, x: VarSet) -> bool:
-    """Decide x ∈ adm(q) for a JO query via its base family.
+    """Decide x ∈ adm(q) for a UNION-free query via its base family.
 
     x is admissible iff it is a union of a nonempty subfamily of base(q):
     the minimum base element must be contained in x, and the base elements
     inside x must cover it.
     """
     x = frozenset(x)
-    if not min_base(q) <= x:
-        return False
-    covered: set[Var] = set()
-    for b in base(q):
-        if b <= x:
-            covered.update(b)
-    return x <= covered
+    return _top_inside(q, x) == x
 
 
 def max_admissible_subsets(q: Query, x2: VarSet) -> VarSetFamily:
-    """max_⊆(adm(q) ∩ 2^x2) for a JO query.
+    """max_⊆(adm(q) ∩ 2^x2) for a UNION-free query.
 
     adm(q) ∩ 2^x2 is closed under union, so the result is empty or a
     singleton: the union of all base elements contained in x2.
     """
-    x2 = frozenset(x2)
-    if not min_base(q) <= x2:
-        return frozenset()
-    top: set[Var] = set()
-    for b in base(q):
-        if b <= x2:
-            top.update(b)
-    return frozenset({frozenset(top)})
+    top = _top_inside(q, frozenset(x2))
+    return frozenset() if top is None else frozenset({top})
 
 
 # --- parsing / serialization ------------------------------------------------
@@ -231,10 +251,12 @@ def _parse_term(toks: _Tokens) -> Union[Var, Term]:
     return individual(value)
 
 
-def _parse_query(toks: _Tokens) -> Query:
+def _parse_query(toks: _Tokens, depth: int = 0) -> Query:
     kind, value, line, col = toks.next()
     if kind != "name":
         raise ParseError(f"expected query, found {value!r}", line, col)
+    if value in _KEYWORDS and depth == _MAX_NESTING:
+        raise ParseError("query nested too deeply", line, col)
     if value == "SELECT":
         toks.next("{")
         var_names = []
@@ -247,7 +269,7 @@ def _parse_query(toks: _Tokens) -> Query:
                 toks.next()
         toks.next("}")
         toks.next("(")
-        body = _parse_query(toks)
+        body = _parse_query(toks, depth + 1)
         toks.next(")")
         try:
             return Select(frozenset(Var(v) for v in var_names), body)
@@ -255,9 +277,9 @@ def _parse_query(toks: _Tokens) -> Query:
             raise ParseError(str(exc), line, col) from exc
     if value in ("UNION", "JOIN", "OPT"):
         toks.next("(")
-        left = _parse_query(toks)
+        left = _parse_query(toks, depth + 1)
         toks.next(",")
-        right = _parse_query(toks)
+        right = _parse_query(toks, depth + 1)
         toks.next(")")
         ctor = {"UNION": UnionQ, "JOIN": JoinQ, "OPT": OptQ}[value]
         return ctor(left, right)

@@ -5,8 +5,8 @@ from __future__ import annotations
 from .chase import chase, default_bound, entailed_abox
 from .errors import QueryShapeError
 from .kb import KnowledgeBase, active_domain
-# sparql_ans_branch, join, diff and project are unused here; the benchmark
-# tracer looks them up in this module.
+# sparql_ans_branch, join, diff, project and adm are unused here; the
+# benchmark tracer looks them up in this module.
 from .graph import Graph, sparql_ans, sparql_ans_branch
 from .mappings import MappingSet, join, diff, project, otimes, restrict_filter, restrict_project
 from .query import (
@@ -18,6 +18,7 @@ from .query import (
     adm,
     branch,
     is_union_free,
+    max_admissible_subsets,
     query_vars,
 )
 
@@ -98,11 +99,18 @@ def m_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingS
     adom = active_domain(kb)
     full = sparql_ans(q, cg.graph)
     out: set = set()
-    for qb in sorted(branch(q), key=lambda b: repr(b)):
+    for qb in branch(q):
         # sparql_ans_branch(q, cg.graph, qb), with q evaluated once
         answers = full if qb == q else full & sparql_ans(qb, cg.graph)
         restricted = restrict_project(answers, adom)
-        out.update(otimes(restricted, adm(qb)))
+        # The largest admissible subset of each row domain, in place of
+        # adm(qb), which has 2^k members for k OPTs.  Any such set inside a
+        # domain D is admissible, so it lies under D's own: ⊗ keeps the
+        # same maximal sets.
+        family = frozenset().union(
+            *(max_admissible_subsets(qb, d) for d in {w.domain for w in restricted})
+        )
+        out.update(otimes(restricted, family))
     return frozenset(out)
 
 

@@ -38,3 +38,12 @@ def V(*names) -> frozenset:
 def fam(*var_sets) -> frozenset:
     """Family literal: fam(["x"], ["x", "y"])."""
     return frozenset(frozenset(Var(n) for n in vs) for vs in var_sets)
+
+
+def join_chain(n: int, left_deep: bool = True) -> str:
+    """Query text of n JOINs nested inside each other over A(?x)."""
+    text = "A(?x)"
+    for i in range(n):
+        step = f"r(?x, ?y{i})"
+        text = f"JOIN({text}, {step})" if left_deep else f"JOIN({step}, {text})"
+    return text

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, join_chain
+from sparqlkb import SEMANTICS
 from sparqlkb.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -106,6 +107,28 @@ class TestAnalyze:
         assert "branches: 1" in text
         assert "base: {{x},{x,y,z}}" in text
 
+    def test_left_deep_opt_chain_prints_the_linear_base(self, tmp_path):
+        q = tmp_path / "chain.sq"
+        q.write_text("OPT(OPT(A(?x), R(?x,?y)), S(?x,?w))\n")
+        code, text = run("analyze", "--query", str(q))
+        assert code == EXIT_OK
+        assert "  adm: {{w,x},{w,x,y},{x},{x,y}}\n" in text
+        assert "  base: {{w,x},{x},{x,y}}\n" in text
+
+
+@pytest.mark.parametrize("left_deep", [True, False])
+def test_nesting_at_the_limit_runs_everywhere(tmp_path, left_deep):
+    kb, q = tmp_path / "deep.kb", tmp_path / "deep.sq"
+    kb.write_text("TBOX: A [= exists r . ABOX: A(a) . r(a, b) .\n")
+    q.write_text(join_chain(256, left_deep) + "\n")
+    for name in SEMANTICS:
+        code, text = run("eval", "--kb", str(kb), "--query", str(q), "--semantics", name)
+        assert code == EXIT_OK and text.startswith("?x=a\t"), name
+    code, text = run("analyze", "--query", str(q))
+    assert code == EXIT_OK and "branches: 1\n" in text
+    code, _ = run("check", "--kb", str(kb), "--query", str(q), "--all-semantics")
+    assert code == EXIT_OK
+
 
 class TestCheck:
     def test_all_pass_for_mcan(self):
@@ -170,6 +193,17 @@ class TestErrorPaths:
             "--semantics", "plain",
         )
         assert code == EXIT_PARSE
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        q = tmp_path / "deep.sq"
+        q.write_text(join_chain(1200) + "\n")
+        code, text = run(
+            "eval", "--kb", fixture("ex1.kb"), "--query", str(q),
+            "--semantics", "mcan",
+        )
+        assert code == EXIT_PARSE and text == ""
+        err = capsys.readouterr().err
+        assert "query nested too deeply" in err and "Traceback" not in err
 
     def test_unsat_kb_exit_code(self, tmp_path):
         kb = tmp_path / "unsat.kb"

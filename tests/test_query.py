@@ -2,13 +2,15 @@
 
 import importlib
 import pkgutil
+from itertools import islice
 
 import pytest
 
 import sparqlkb
 
-from conftest import FIXTURES, fam, V, load_query
+from conftest import FIXTURES, fam, V, join_chain, load_query
 from sparqlkb.errors import ParseError, QueryShapeError
+from sparqlkb.harness import SizeParams, brute_force_adm, generate_instances
 from sparqlkb.kb import Var, individual
 from sparqlkb.query import (
     JoinQ,
@@ -60,6 +62,13 @@ class TestParsing:
     def test_keywords_are_not_predicates(self):
         with pytest.raises(ParseError):
             parse_query("OPT(?x)")
+
+    def test_nesting_limit(self):
+        assert triple_pattern_count(parse_query(join_chain(256))) == 257
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_query(join_chain(257, left_deep=False))
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_query("SELECT{x}(" * 257 + "A(?x)" + ")" * 257)
 
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
@@ -189,6 +198,17 @@ class TestBase:
     def test_min_base_is_the_left_anchor(self):
         assert min_base(OPT_JOIN) == V("x")
 
+    def test_left_deep_opt_chain_is_linear(self):
+        q = TriplePattern("A", (X,))
+        for k in range(1, 15):
+            q = OptQ(q, TriplePattern(f"p{k}", (X, Var(f"y{k}"))))
+            assert len(base(q)) == k + 1
+
+    def test_size_is_at_most_the_pattern_count(self):
+        for seed in (3, 11):
+            for _, q in islice(generate_instances(seed, SizeParams(), jo_only=True), 300):
+                assert len(base(q)) <= triple_pattern_count(q), serialize_query(q)
+
 
 class TestAdmissibility:
     def test_membership_matches_the_narrative_sets(self):
@@ -207,6 +227,35 @@ class TestAdmissibility:
 
     def test_max_subsets_of_empty_domain_is_empty(self):
         assert max_admissible_subsets(OPT_JOIN, frozenset()) == frozenset()
+
+    def test_select_intersects_the_base(self):
+        q = Select(V("x", "z"), OPT_JOIN)
+        assert is_admissible(q, V("x", "z"))
+        assert not is_admissible(q, V("z"))
+        assert max_admissible_subsets(q, V("x", "z")) == fam(["x", "z"])
+        # SELECT{y}(A(?x) OPT R(?x,?y)): the minimum is the empty set
+        q = Select(V("y"), OptQ(TriplePattern("A", (X,)), TriplePattern("R", (X, Y))))
+        assert max_admissible_subsets(q, frozenset()) == fam([])
+
+    @pytest.mark.parametrize("seed", [3, 11, 17, 23, 31])
+    def test_agrees_with_brute_force_on_every_branch(self, seed):
+        """Every UNION-free branch, SELECT included, against the power set."""
+        checked = 0
+        for _, q in islice(generate_instances(seed, SizeParams()), 300):
+            for qb in branch(q):
+                variables = sorted(query_vars(qb))
+                oracle = brute_force_adm(qb)
+                subsets = [
+                    frozenset(v for i, v in enumerate(variables) if mask >> i & 1)
+                    for mask in range(2 ** len(variables))
+                ]
+                for x in subsets:
+                    assert is_admissible(qb, x) == (x in oracle), (qb, x)
+                    inside = [a for a in oracle if a <= x]
+                    want = frozenset(a for a in inside if not any(a < b for b in inside))
+                    assert max_admissible_subsets(qb, x) == want, (qb, x)
+                checked += 1
+        assert checked >= 300
 
 
 def test_every_cache_is_bounded():

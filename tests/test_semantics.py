@@ -4,11 +4,26 @@ from itertools import islice
 
 import pytest
 
+import sparqlkb.query
+import sparqlkb.semantics
 from conftest import load_kb, load_query, m, ms
+from sparqlkb.chase import chase, default_bound
 from sparqlkb.errors import QueryShapeError
+from sparqlkb.graph import sparql_ans_branch
 from sparqlkb.harness import SizeParams, generate_instances
-from sparqlkb.kb import Var, parse_kb
-from sparqlkb.query import JoinQ, OptQ, Select, TriplePattern, UnionQ, adm, parse_query
+from sparqlkb.kb import Var, active_domain, parse_kb
+from sparqlkb.mappings import otimes, restrict_project
+from sparqlkb.query import (
+    JoinQ,
+    OptQ,
+    Select,
+    TriplePattern,
+    UnionQ,
+    adm,
+    branch,
+    parse_query,
+    serialize_query,
+)
 from sparqlkb.semantics import (
     SEMANTICS,
     can_ans,
@@ -129,6 +144,46 @@ class TestUnionProvenance:
             UnionQ(TriplePattern("r", (X, Y)), TriplePattern("s", (X, Z))),
         )
         assert m_can_ans(q, kb) == ms(m(x="a", z="c"))
+
+
+def m_can_ans_reference(q, kb):
+    """mcan by its definition: each branch's restricted answers ⊗ adm(qb)."""
+    g = chase(kb, default_bound(kb, q)).graph
+    adom = active_domain(kb)
+    out = set()
+    for qb in branch(q):
+        restricted = restrict_project(sparql_ans_branch(q, g, qb), adom)
+        out.update(otimes(restricted, adm(qb)))
+    return frozenset(out)
+
+
+class TestMaximalAdmissible:
+    @pytest.mark.parametrize("seed", [5, 13])
+    def test_agrees_with_the_adm_reference(self, seed):
+        texts = []
+        for kb, q in islice(generate_instances(seed, SizeParams()), 300):
+            assert m_can_ans(q, kb) == m_can_ans_reference(q, kb), q
+            texts.append(serialize_query(q))
+        for op in ("UNION", "SELECT", "OPT"):
+            assert sum(op in t for t in texts) >= 30, op
+
+    def test_a_long_opt_chain_never_materializes_adm(self, monkeypatch):
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return adm(q)
+
+        monkeypatch.setattr(sparqlkb.query, "adm", counted)
+        monkeypatch.setattr(sparqlkb.semantics, "adm", counted)
+        text = "A(?x)"
+        for i in range(12):
+            text = f"OPT({text}, p{i}(?x, ?y{i}))"
+        kb = parse_kb("TBOX: ABOX: A(a) . A(b) . p3(a, c) . p7(a, d) . p7(b, c) .")
+        assert m_can_ans(parse_query(text), kb) == ms(
+            m(x="a", y3="c", y7="d"), m(x="b", y7="c")
+        )
+        assert calls == []
 
 
 class TestEmptyTBoxRelations:
