@@ -13,22 +13,19 @@ its only edges are r and r's super-roles from its parent.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import UnsatisfiableKbError
 from .graph import Graph
 from .kb import (
-    Atom,
     BasicConcept,
     ConceptDisjointness,
     ConceptInclusion,
     KnowledgeBase,
     RoleExpr,
     RoleInclusion,
-    Term,
-    active_domain,
-    anonymous,
     exists,
 )
 from .query import Query, triple_pattern_count
@@ -40,22 +37,40 @@ class SaturatedTBox:
     role_closure: frozenset[tuple[RoleExpr, RoleExpr]]
     disjointness_closure: frozenset[tuple[BasicConcept, BasicConcept]]
     role_names: frozenset[str]
+    # Lookups read off the closures: each role's super-roles in sorted order
+    # and each basic concept's implied concepts, both reflexive.
+    supers: dict[RoleExpr, tuple[RoleExpr, ...]] = field(compare=False, repr=False)
+    implied: dict[BasicConcept, frozenset[BasicConcept]] = field(compare=False, repr=False)
 
-    def super_roles(self, r: RoleExpr) -> list[RoleExpr]:
-        return sorted(s for p, s in self.role_closure if p == r)
+    def super_roles(self, r: RoleExpr) -> tuple[RoleExpr, ...]:
+        return self.supers.get(r, ())
 
 
 def _transitive_closure(pairs: set[tuple], domain: set) -> set[tuple]:
-    closure = set(pairs) | {(x, x) for x in domain}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(closure):
-            for (c, d) in list(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
+    """The reflexive-transitive closure of pairs over domain: one
+    reachability search per node."""
+    successors: dict = {x: [] for x in domain}
+    for a, b in pairs:
+        successors[a].append(b)
+    closure = set()
+    for start in successors:
+        reached = {start}
+        pending = [start]
+        while pending:
+            for b in successors[pending.pop()]:
+                if b not in reached:
+                    reached.add(b)
+                    pending.append(b)
+        closure.update((start, b) for b in reached)
     return closure
+
+
+def _lookup(closure) -> dict:
+    """a -> {b : (a, b) in closure}"""
+    out: dict = {}
+    for a, b in closure:
+        out.setdefault(a, set()).add(b)
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -92,25 +107,27 @@ def saturate(tbox: frozenset) -> SaturatedTBox:
     for (r, s) in role_closure:
         concept_pairs.add((exists(r), exists(s)))
     concept_closure = _transitive_closure(concept_pairs, concept_domain)
+    implied = {b: frozenset(cs) for b, cs in _lookup(concept_closure).items()}
 
     declared = set()
     for ax in tbox:
         if isinstance(ax, ConceptDisjointness):
             declared.add((ax.lhs, ax.rhs))
             declared.add((ax.rhs, ax.lhs))
+    implying = _lookup((c, b) for b, c in concept_closure)
     disjoint = {
         (b1, b2)
         for (d1, d2) in declared
-        for (b1, e1) in concept_closure
-        if e1 == d1
-        for (b2, e2) in concept_closure
-        if e2 == d2
+        for b1 in implying.get(d1, ())
+        for b2 in implying.get(d2, ())
     }
     return SaturatedTBox(
         frozenset(concept_closure),
         frozenset(role_closure),
         frozenset(disjoint),
         frozenset(role_names),
+        {r: tuple(sorted(ss)) for r, ss in _lookup(role_closure).items()},
+        implied,
     )
 
 
@@ -126,20 +143,28 @@ class ChaseSizeExceeded(Exception):
     """Internal guard used by the instance generator to skip blowups."""
 
 
-def _type(
-    satisfied: set[BasicConcept], sat: SaturatedTBox
-) -> tuple[frozenset[BasicConcept], list[RoleExpr]]:
-    """The basic concepts an element satisfying `satisfied` is entailed to
-    have, and the roles it must fire: the unsatisfied existentials that
-    are sub-role-minimal, and of several equivalent ones the first in
-    sorted order.  A witness edge for r is saturated to every super-role
-    of r, so firing any other would create a redundant witness."""
+class _Type(NamedTuple):
+    """What an element is entailed to be: its basic concepts, the names of
+    its atomic ones, and the roles it must fire."""
+
+    entailed: frozenset[BasicConcept]
+    atomic: tuple[str, ...]
+    fire: tuple[RoleExpr, ...]
+
+
+def _type(satisfied: set[BasicConcept], sat: SaturatedTBox) -> _Type:
+    """The type of an element satisfying `satisfied`.  It fires the
+    unsatisfied existentials that are sub-role-minimal, and of several
+    equivalent ones the first in sorted order.  A witness edge for r is
+    saturated to every super-role of r, so firing any other would create a
+    redundant witness."""
     entailed = set(satisfied)
-    entailed.update(c for (b, c) in sat.concept_closure if b in satisfied)
+    for b in satisfied:
+        entailed.update(sat.implied.get(b, ()))
     unsatisfied = sorted(
         b.role for b in entailed if b.kind != "atomic" and b not in satisfied
     )
-    fire = [
+    fire = tuple(
         r
         for r in unsatisfied
         if not any(
@@ -148,87 +173,116 @@ def _type(
             and (s < r or (r, s) not in sat.role_closure)
             for s in unsatisfied
         )
-    ]
-    return frozenset(entailed), fire
+    )
+    atomic = tuple(sorted(b.name for b in entailed if b.kind == "atomic"))
+    return _Type(frozenset(entailed), atomic, fire)
 
 
-def _witness_type(
-    r: RoleExpr, sat: SaturatedTBox
-) -> tuple[list[RoleExpr], frozenset[BasicConcept], list[RoleExpr]]:
-    """Edge roles from its parent, entailed concepts and fired roles of a
-    witness created through r."""
-    supers = sat.super_roles(r)
-    return (supers, *_type({exists(s.inverted()) for s in supers}, sat))
+def _witness_type(r: RoleExpr, sat: SaturatedTBox) -> _Type:
+    """The type of a witness created through r: its edge from its parent
+    is saturated to every super-role of r."""
+    return _type({exists(s.inverted()) for s in sat.super_roles(r)}, sat)
 
 
-def _role_atom(r: RoleExpr, src: Term, dst: Term) -> Atom:
-    """The atom asserting r(src, dst), unfolding inverses."""
-    if r.inverse:
-        return Atom(r.name, (dst, src))
-    return Atom(r.name, (src, dst))
+def _segment(r: RoleExpr) -> str:
+    """A witness name's path segment for r: a trailing - marks an inverse."""
+    return r.name + ("-" if r.inverse else "")
 
 
-def _saturated_abox(
-    kb: KnowledgeBase, sat: SaturatedTBox
-) -> tuple[set[Atom], dict[Term, tuple[frozenset[BasicConcept], list[RoleExpr]]]]:
-    """The entailed ABox atoms, and the type of every named individual."""
-    atoms: set[Atom] = set(kb.abox)
-    for atom in kb.abox:
-        if len(atom.args) == 2:
-            for s in sat.super_roles(RoleExpr(atom.predicate)):
-                atoms.add(_role_atom(s, *atom.args))
-    satisfied: dict[Term, set[BasicConcept]] = {t: set() for t in active_domain(kb)}
-    for atom in atoms:
-        if len(atom.args) == 1:
-            satisfied[atom.args[0]].add(BasicConcept("atomic", atom.predicate))
-        else:
-            satisfied[atom.args[0]].add(exists(RoleExpr(atom.predicate)))
-            satisfied[atom.args[1]].add(exists(RoleExpr(atom.predicate, True)))
-    by_basics: dict[frozenset[BasicConcept], tuple] = {}
-    types = {}
-    for t, basics in satisfied.items():
-        key = frozenset(basics)
-        if key not in by_basics:
-            by_basics[key] = _type(basics, sat)
-        types[t] = by_basics[key]
-    for t, (entailed, _) in types.items():
-        atoms.update(Atom(b.name, (t,)) for b in entailed if b.kind == "atomic")
-    return atoms, types
+def _saturated_abox(kb: KnowledgeBase, sat: SaturatedTBox) -> tuple[dict, dict[str, _Type]]:
+    """The entailed ABox as a per-predicate index of name tuples, and the
+    type of every named individual.
 
+    An individual's satisfied concepts come from its facts: its unary
+    predicates, and ∃s for every super-role s of the role of each of its
+    edges (which role saturation materializes).  Individuals with the same
+    facts' predicates share one type.
+    """
+    facts = kb.encoded.facts
+    index: dict[str, set[tuple[str, ...]]] = {p: set(rows) for p, rows in facts.items()}
+    signature: dict[str, set] = {t: set() for t in kb.encoded.adom}
+    for p, rows in facts.items():
+        out_key, in_key = (p, False), (p, True)
+        for args in rows:
+            if len(args) == 2:
+                signature[args[0]].add(out_key)
+                signature[args[1]].add(in_key)
+            else:
+                signature[args[0]].add(p)
+        role = RoleExpr(p)
+        supers = [s for s in sat.super_roles(role) if s != role]
+        binary = [args for args in rows if len(args) == 2] if supers else []
+        for s in supers:
+            edges = index.setdefault(s.name, set())
+            if s.inverse:
+                edges.update((b, a) for a, b in binary)
+            else:
+                edges.update(binary)
 
-def _witness_name(parent: Term, r: RoleExpr) -> str:
-    prefix = parent.name if parent.kind == "anonymous" else "_:" + parent.name
-    return prefix + "|" + r.name + ("-" if r.inverse else "")
+    def satisfied(key) -> set[BasicConcept]:
+        basics = set()
+        for k in key:
+            if isinstance(k, str):
+                basics.add(BasicConcept("atomic", k))
+            else:
+                r = RoleExpr(*k)
+                basics.update(exists(s) for s in sat.super_roles(r) or (r,))
+        return basics
+
+    groups: dict[frozenset, list[str]] = {}
+    for t, key in signature.items():
+        groups.setdefault(frozenset(key), []).append(t)
+    types: dict[str, _Type] = {}
+    for key, members in groups.items():
+        typ = _type(satisfied(key), sat)
+        types.update(dict.fromkeys(members, typ))
+        for a in typ.atomic:
+            index.setdefault(a, set()).update(zip(members))
+    return index, types
 
 
 def _build_chase(
     kb: KnowledgeBase, bound: int, max_elements: int | None = None
 ) -> ChaseGraph:
     sat = saturate(kb.tbox)
-    atoms, types = _checked_abox(kb, sat)
-    witness_types: dict[RoleExpr, tuple] = {}
+    index, types = _checked_abox(kb, sat)
+    # per role fired: its path segment, the (edge set, inverse) pairs of
+    # its super-roles, the concept sets of its atomic concepts, and the
+    # roles its witness fires
+    plans: dict[RoleExpr, tuple] = {}
+
+    def plan(r: RoleExpr) -> tuple:
+        if r not in plans:
+            wtype = _witness_type(r, sat)
+            plans[r] = (
+                "|" + _segment(r),
+                [(index.setdefault(s.name, set()), s.inverse) for s in sat.super_roles(r)],
+                [index.setdefault(a, set()) for a in wtype.atomic],
+                wtype.fire,
+            )
+        return plans[r]
+
     depth_of: dict[str, int] = {}
-    queue: deque[tuple[Term, int, list[RoleExpr]]] = deque(
-        (t, 0, types[t][1]) for t in sorted(types)
+    queue: deque[tuple[str, int, tuple[RoleExpr, ...]]] = deque(
+        (t, 0, typ.fire) for t, typ in sorted(types.items()) if typ.fire
     )
     while queue:
-        term, depth, fire = queue.popleft()
+        parent, depth, fire = queue.popleft()
         if depth >= bound:
             continue
+        prefix = parent if parent.startswith("_:") else "_:" + parent
         for r in fire:
-            witness = anonymous(_witness_name(term, r))
-            depth_of[witness.name] = depth + 1
+            segment, edges, concepts, witness_fire = plan(r)
+            witness = prefix + segment
+            depth_of[witness] = depth + 1
             if max_elements is not None and len(depth_of) > max_elements:
                 raise ChaseSizeExceeded()
-            if r not in witness_types:
-                witness_types[r] = _witness_type(r, sat)
-            supers, entailed, witness_fire = witness_types[r]
-            atoms.update(_role_atom(s, term, witness) for s in supers)
-            atoms.update(
-                Atom(b.name, (witness,)) for b in entailed if b.kind == "atomic"
-            )
+            for edge_set, inverse in edges:
+                edge_set.add((witness, parent) if inverse else (parent, witness))
+            for concept_set in concepts:
+                concept_set.add((witness,))
             queue.append((witness, depth + 1, witness_fire))
-    return ChaseGraph(Graph(atoms), tuple(sorted(depth_of.items())), bound, kb)
+    return ChaseGraph(Graph.of_index(index), tuple(sorted(depth_of.items())), bound, kb)
 
 
 # Small caches: a request rarely reuses another's KB, and every entry keeps
@@ -261,25 +315,23 @@ def is_satisfiable(kb: KnowledgeBase) -> bool:
     return _consistent(_saturated_abox(kb, sat)[1], sat)
 
 
-def _consistent(
-    types: dict[Term, tuple[frozenset[BasicConcept], list[RoleExpr]]],
-    sat: SaturatedTBox,
-) -> bool:
+def _consistent(types: dict[str, _Type], sat: SaturatedTBox) -> bool:
     """Whether no type of the canonical model holds a disjoint pair.  Its
     types are the named individuals' `types` and closure(∃r⁻) for every
     role r reachable from them through fired roles."""
     if not sat.disjointness_closure:
         return True
-    entailed_types = {entailed for entailed, _ in types.values()}
-    pending = [r for _, fire in types.values() for r in fire]
+    distinct = {id(typ): typ for typ in types.values()}.values()
+    entailed_types = {typ.entailed for typ in distinct}
+    pending = [r for typ in distinct for r in typ.fire]
     reached: set[RoleExpr] = set()
     while pending:
         r = pending.pop()
         if r not in reached:
             reached.add(r)
-            _, entailed, fire = _witness_type(r, sat)
-            entailed_types.add(entailed)
-            pending.extend(fire)
+            wtype = _witness_type(r, sat)
+            entailed_types.add(wtype.entailed)
+            pending.extend(wtype.fire)
     return not any(
         b1 in entailed and b2 in entailed
         for entailed in entailed_types
@@ -289,13 +341,13 @@ def _consistent(
 
 def _checked_abox(kb: KnowledgeBase, sat: SaturatedTBox):
     """`_saturated_abox(kb, sat)`, raising if the KB is unsatisfiable."""
-    atoms, types = _saturated_abox(kb, sat)
+    index, types = _saturated_abox(kb, sat)
     if not _consistent(types, sat):
         raise UnsatisfiableKbError("knowledge base is unsatisfiable")
-    return atoms, types
+    return index, types
 
 
 @lru_cache(maxsize=8)
 def entailed_abox(kb: KnowledgeBase) -> Graph:
     """All atoms over the active domain entailed by the KB."""
-    return Graph(_checked_abox(kb, saturate(kb.tbox))[0])
+    return Graph.of_index(_checked_abox(kb, saturate(kb.tbox))[0])

@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 
@@ -56,8 +57,9 @@ def _print_mappings(omega: MappingSet, fmt: str, out) -> None:
         ]
         print(json.dumps(payload, sort_keys=True), file=out)
         return
-    for w in ordered:
-        print("\t".join(f"?{v.name}={t}" for v, t in w.bindings), file=out)
+    out.write("".join(
+        "\t".join(f"?{v.name}={t.name}" for v, t in w.bindings) + "\n" for w in ordered
+    ))
 
 
 def _cmd_eval(args, out) -> int:
@@ -141,6 +143,8 @@ def _count(text: str) -> int:
     return int(text)
 
 
+# Built once per process: parse_args does not change the parser.
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparqlkb",
@@ -153,13 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--kb", required=True)
     p_eval.add_argument("--query", required=True)
     p_eval.add_argument("--semantics", required=True, choices=sorted(SEMANTICS))
-    p_eval.add_argument("--depth", type=int, default=None)
+    p_eval.add_argument("--depth", type=_count, default=None)
     p_eval.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p_eval.set_defaults(fn=_cmd_eval)
 
     p_chase = sub.add_parser("chase", help="dump the chase graph of a KB")
     p_chase.add_argument("--kb", required=True)
-    p_chase.add_argument("--depth", type=int, default=None)
+    p_chase.add_argument("--depth", type=_count, default=None)
     p_chase.set_defaults(fn=_cmd_chase)
 
     p_an = sub.add_parser("analyze", help="static query analyses")

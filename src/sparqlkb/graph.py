@@ -1,83 +1,320 @@
-"""Finite graphs and SUJO query evaluation over them."""
+"""Finite graphs and SUJO query evaluation over them.
+
+The engine runs on names: a term is its name string (an anonymous one
+starts with ``_:``, an individual's cannot), a graph is a per-predicate
+index of argument-name tuples, and an answer set is a set of slot rows over
+a sorted list of variable names, one slot per variable, None where it is
+unbound.  `Atom`, `Term` and `SolutionMapping` are built only where a public
+function returns.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import cached_property, lru_cache
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .errors import QueryShapeError
-from .kb import Atom, Term, Var
-from .mappings import (
-    MappingSet,
-    SolutionMapping,
-    diff,
-    join,
-    project,
-)
+from .kb import Atom, Term, Var, term
+from .mappings import MappingSet, SolutionMapping
 from .query import JoinQ, OptQ, Query, TriplePattern, UnionQ, branch
+
+Index = dict[str, "set[tuple[str, ...]] | frozenset[tuple[str, ...]]"]
 
 
 class Graph:
-    """Immutable set of ground atoms with a by-predicate index."""
+    """Immutable set of ground atoms.  It holds them by name in a
+    per-predicate index; the Atom objects are built on first use."""
 
     def __init__(self, atoms: Iterable[Atom]):
-        self.atoms: frozenset[Atom] = frozenset(atoms)
+        index: dict[str, set[tuple[str, ...]]] = {}
+        for atom in atoms:
+            index.setdefault(atom.predicate, set()).add(tuple(t.name for t in atom.args))
+        self.index: Index = index
+
+    @classmethod
+    def of_index(cls, index: Index) -> "Graph":
+        """The graph of an index (no predicate may map to an empty set)."""
+        g = cls.__new__(cls)
+        g.index = index
+        return g
+
+    @cached_property
+    def atoms(self) -> frozenset[Atom]:
+        return frozenset(
+            Atom(p, tuple(map(term, args))) for p, rows in self.index.items() for args in rows
+        )
+
+    @cached_property
+    def _by_predicate(self) -> dict[str, list[Atom]]:
         index: dict[str, list[Atom]] = {}
         for atom in self.atoms:
             index.setdefault(atom.predicate, []).append(atom)
-        self._by_predicate = index
+        return index
 
     def by_predicate(self, predicate: str) -> list[Atom]:
         return self._by_predicate.get(predicate, [])
 
     def terms(self) -> frozenset[Term]:
-        return frozenset(t for atom in self.atoms for t in atom.args)
+        names = {name for rows in self.index.values() for args in rows for name in args}
+        return frozenset(map(term, names))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.atoms == other.atoms
+        return isinstance(other, Graph) and self.index == other.index
 
     def __hash__(self) -> int:
         return hash(self.atoms)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return sum(map(len, self.index.values()))
 
     def __iter__(self):
         return iter(sorted(self.atoms))
 
 
-def _match_pattern(tp: TriplePattern, g: Graph) -> MappingSet:
-    out = set()
-    for atom in g.by_predicate(tp.predicate):
-        if len(atom.args) != len(tp.args):
-            continue
-        bindings: dict[Var, Term] = {}
-        ok = True
-        for pat_arg, term in zip(tp.args, atom.args):
-            if isinstance(pat_arg, Var):
-                if bindings.setdefault(pat_arg, term) != term:
-                    ok = False
-                    break
-            elif pat_arg != term:
-                ok = False
-                break
-        if ok:
-            out.add(SolutionMapping.of(bindings))
-    return frozenset(out)
+class Rows:
+    """A set of slot rows over the sorted variable names `vars`.  The
+    operators below never change a Rows they are given or return."""
+
+    __slots__ = ("vars", "rows")
+
+    def __init__(self, vars: tuple[str, ...], rows: set | frozenset):
+        self.vars = vars
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def _picker(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """row -> the tuple of row's values at positions."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
+def _key(positions: tuple[int, ...]) -> Callable[[tuple], object]:
+    """A hashable key of row's values at positions (a scalar for one)."""
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+@lru_cache(maxsize=256)
+def _merge_plan(lvars: tuple[str, ...], rvars: tuple[str, ...]):
+    """How rows over lvars and rvars combine into rows over their sorted
+    union `out`: `take` picks an out row from l + r (the left slot where
+    both have the variable), and `shared` lists each common variable's
+    (left slot, right slot, out slot)."""
+    out = tuple(sorted(set(lvars) | set(rvars)))
+    lpos = {v: i for i, v in enumerate(lvars)}
+    rpos = {v: j for j, v in enumerate(rvars)}
+    take = tuple(lpos[v] if v in lpos else len(lvars) + rpos[v] for v in out)
+    shared = tuple((lpos[v], rpos[v], o) for o, v in enumerate(out) if v in lpos and v in rpos)
+    return out, take, shared
+
+
+def _partition(left: Rows, right: Rows, shared):
+    """Split the common variables into the key, those every row of both
+    operands binds (rows that differ there are incompatible), and the
+    loose rest, which a pair of rows must be checked on.  Returns the key
+    functions of both sides and the loose (left, right, out) slots."""
+    key, loose = [], []
+    for i, j, o in shared:
+        always = None not in map(itemgetter(i), left.rows) and None not in map(
+            itemgetter(j), right.rows
+        )
+        (key if always else loose).append((i, j, o))
+    return _key(tuple(k[0] for k in key)), _key(tuple(k[1] for k in key)), loose
+
+
+def _compatible(l: tuple, r: tuple, loose) -> bool:
+    return all(l[i] is None or r[j] is None or l[i] == r[j] for i, j, _ in loose)
+
+
+def join(left: Rows, right: Rows) -> Rows:
+    """Ω1 ⋈ Ω2 on slot rows as a hash join: the slot-row form of
+    `mappings.join`."""
+    out, take, shared = _merge_plan(left.vars, right.vars)
+    if not left.rows or not right.rows:
+        return Rows(out, frozenset())
+    lkey, rkey, loose = _partition(left, right, shared)
+    buckets: dict = {}
+    for r in right.rows:
+        buckets.setdefault(rkey(r), []).append(r)
+    pick = _picker(take)
+    if not loose:
+        return Rows(out, {pick(l + r) for l in left.rows for r in buckets.get(lkey(l), ())})
+    rows = set()
+    for l in left.rows:
+        for r in buckets.get(lkey(l), ()):
+            if _compatible(l, r, loose):
+                row = list(pick(l + r))
+                for i, j, o in loose:
+                    if l[i] is None:
+                        row[o] = r[j]
+                rows.add(tuple(row))
+    return Rows(out, rows)
+
+
+def diff(left: Rows, right: Rows) -> Rows:
+    """Ω1 ∖ Ω2 on slot rows as a hash anti-join on the same partition as
+    `join`: the slot-row form of `mappings.diff`."""
+    if not left.rows or not right.rows:
+        return left
+    _, _, shared = _merge_plan(left.vars, right.vars)
+    lkey, rkey, loose = _partition(left, right, shared)
+    if not loose:
+        keys = set(map(rkey, right.rows))
+        return Rows(left.vars, {l for l in left.rows if lkey(l) not in keys})
+    buckets: dict = {}
+    for r in right.rows:
+        buckets.setdefault(rkey(r), []).append(r)
+    return Rows(
+        left.vars,
+        {
+            l
+            for l in left.rows
+            if not any(_compatible(l, r, loose) for r in buckets.get(lkey(l), ()))
+        },
+    )
+
+
+def union(left: Rows, right: Rows) -> Rows:
+    """Ω1 ∪ Ω2, both padded to the union of their variables."""
+    out = _merge_plan(left.vars, right.vars)[0]
+    return Rows(out, pad(left, out).rows | pad(right, out).rows)
+
+
+def pad(rows: Rows, out: tuple[str, ...]) -> Rows:
+    """The rows over `out`, a sorted superset of their variables, unbound
+    in the added slots."""
+    if rows.vars == out:
+        return rows
+    pick = _pad_picker(rows.vars, out)
+    return Rows(out, {pick(row + (None,)) for row in rows.rows})
+
+
+@lru_cache(maxsize=256)
+def _pad_picker(names: tuple[str, ...], out: tuple[str, ...]) -> Callable[[tuple], tuple]:
+    """Picks a row over `out` from a row over `names` + (None,)."""
+    return _picker(tuple(names.index(v) if v in names else len(names) for v in out))
+
+
+def project(rows: Rows, names: Iterable[str]) -> Rows:
+    """Restrict every row to the given variables: the slot-row form of
+    `mappings.project`."""
+    out = tuple(sorted(set(names) & set(rows.vars)))
+    if out == rows.vars:
+        return rows
+    pick = _picker(tuple(rows.vars.index(v) for v in out))
+    return Rows(out, set(map(pick, rows.rows)))
+
+
+def unbind(rows: Rows, keep: Iterable[str]) -> Rows:
+    """Every row with the slots of variables outside `keep` unbound; the
+    variable list stays."""
+    kept = set(keep)
+    n = len(rows.vars)
+    pick = _picker(tuple(i if v in kept else n for i, v in enumerate(rows.vars)))
+    return Rows(rows.vars, {pick(row + (None,)) for row in rows.rows})
+
+
+Plan = Callable[[Index], Rows]
+
+
+def _pattern_plan(tp: TriplePattern) -> Plan:
+    """The rows of a triple pattern: the atoms of its predicate and arity
+    that agree with its constants and repeated variables."""
+    n, predicate = len(tp.args), tp.predicate
+    consts = tuple((i, a.name) for i, a in enumerate(tp.args) if not isinstance(a, Var))
+    first: dict[str, int] = {}
+    repeats = []
+    for i, a in enumerate(tp.args):
+        if isinstance(a, Var):
+            if a.name in first:
+                repeats.append((first[a.name], i))
+            else:
+                first[a.name] = i
+    out = tuple(sorted(first))
+    if not consts and not repeats and out == tuple(a.name for a in tp.args):
+        return lambda index: Rows(out, {args for args in index.get(predicate, ()) if len(args) == n})
+    pick = _picker(tuple(first[v] for v in out))
+    return lambda index: Rows(
+        out,
+        {
+            pick(args)
+            for args in index.get(predicate, ())
+            if len(args) == n
+            and all(args[i] == c for i, c in consts)
+            and all(args[i] == args[j] for i, j in repeats)
+        },
+    )
+
+
+def _plan(q: Query) -> Plan:
+    """q compiled: a function from an index to q's rows."""
+    if isinstance(q, TriplePattern):
+        return _pattern_plan(q)
+    if not isinstance(q, (UnionQ, JoinQ, OptQ)):
+        body, names = _plan(q.body), tuple(v.name for v in q.vars)
+        return lambda index: project(body(index), names)
+    left, right = _plan(q.left), _plan(q.right)
+    if isinstance(q, UnionQ):
+        return lambda index: union(left(index), right(index))
+    if isinstance(q, JoinQ):
+        return lambda index: join(left(index), right(index))
+
+    def opt(index: Index) -> Rows:
+        l, r = left(index), right(index)
+        return union(join(l, r), diff(l, r))
+
+    return opt
+
+
+# Each query's plan, compiled once.  Keyed by the query's identity, since
+# hashing a query recurses over its whole tree; an entry holds the query,
+# so its id is not reused while the entry lives.
+_PLANS: dict[int, tuple[Query, Plan]] = {}
+_MAX_PLANS = 256
+
+
+def evaluate(q: Query, index: Index) -> Rows:
+    """Standard compositional answers over an index, as slot rows."""
+    hit = _PLANS.get(id(q))
+    if hit is None or hit[0] is not q:
+        if len(_PLANS) >= _MAX_PLANS:
+            _PLANS.clear()
+        hit = _PLANS[id(q)] = (q, _plan(q))
+    return hit[1](index)
+
+
+def to_mappings(rows: Rows, terms: dict[str, Term] | None = None) -> MappingSet:
+    """The public form of slot rows: one SolutionMapping per row.  A name
+    in `terms` stands for the Term given there."""
+    known = terms or {}
+    # one (Var, Term) pair per slot and value, shared by the rows
+    pairs: list[dict[str, tuple[Var, Term]]] = []
+    for slot, v in enumerate(rows.vars):
+        var = Var(v)
+        names = set(map(itemgetter(slot), rows.rows))
+        names.discard(None)
+        pairs.append({name: (var, known.get(name) or term(name)) for name in names})
+    get = dict.__getitem__
+    return frozenset(
+        SolutionMapping(
+            tuple(map(get, pairs, row))
+            if None not in row
+            else tuple(get(p, name) for p, name in zip(pairs, row) if name is not None)
+        )
+        for row in rows.rows
+    )
 
 
 def sparql_ans(q: Query, g: Graph) -> MappingSet:
     """Standard compositional answers over a plain graph."""
-    if isinstance(q, TriplePattern):
-        return _match_pattern(q, g)
-    if isinstance(q, UnionQ):
-        return sparql_ans(q.left, g) | sparql_ans(q.right, g)
-    if isinstance(q, JoinQ):
-        return join(sparql_ans(q.left, g), sparql_ans(q.right, g))
-    if isinstance(q, OptQ):
-        left = sparql_ans(q.left, g)
-        right = sparql_ans(q.right, g)
-        return join(left, right) | diff(left, right)
-    return project(sparql_ans(q.body, g), q.vars)
+    return to_mappings(evaluate(q, g.index))
 
 
 def sparql_ans_branch(q: Query, g: Graph, qb: Query) -> MappingSet:

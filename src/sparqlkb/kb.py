@@ -16,8 +16,9 @@ the file (in an ``exists``/``inv``, a binary fact, or another role inclusion).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple, NoReturn, Union
 
 from .errors import ParseError
 
@@ -52,6 +53,14 @@ class Term:
 
     def __str__(self) -> str:
         return self.name
+
+
+_name = attrgetter("name")
+
+
+def term(name: str) -> Term:
+    """The term a name encodes."""
+    return Term("anonymous" if name.startswith("_:") else "individual", name)
 
 
 def individual(name: str) -> Term:
@@ -162,18 +171,37 @@ class RoleInclusion:
 TBoxAxiom = Union[ConceptInclusion, ConceptDisjointness, RoleInclusion]
 
 
+class EncodedAbox(NamedTuple):
+    """The ABox as the engine reads it: every term by its name, which is a
+    complete encoding (an anonymous name starts with "_:", an individual's
+    cannot)."""
+
+    facts: dict[str, frozenset[tuple[str, ...]]]  # predicate -> argument names
+    adom: frozenset[str]  # the active domain
+    terms: dict[str, Term]  # the ABox's Term of each name in adom
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Immutable DL-Lite_R knowledge base ⟨TBox, ABox⟩."""
 
     tbox: frozenset[TBoxAxiom]
     abox: frozenset[Atom]
+    encoded: EncodedAbox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        facts: dict[str, set[tuple[str, ...]]] = {}
         for atom in self.abox:
-            for t in atom.args:
-                if not t.is_individual:
+            facts.setdefault(atom.predicate, set()).add(tuple(map(_name, atom.args)))
+        terms = {t.name: t for atom in self.abox for t in atom.args}
+        if any(name.startswith("_:") for name in terms):
+            for atom in self.abox:
+                if not all(t.is_individual for t in atom.args):
                     raise ValueError(f"ABox atom mentions non-individual: {atom}")
+        encoded = EncodedAbox(
+            {p: frozenset(a) for p, a in facts.items()}, frozenset(terms), terms
+        )
+        object.__setattr__(self, "encoded", encoded)
 
 
 def active_domain(kb: KnowledgeBase) -> frozenset[Term]:
@@ -184,86 +212,81 @@ def active_domain(kb: KnowledgeBase) -> frozenset[Term]:
 
 # --- parsing ----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<nl>\n)
-      | (?P<subsumed>\[=)
-      | (?P<name>[A-Za-z0-9_]+)
-      | (?P<punct>[().,:])
-    """,
-    re.VERBOSE,
-)
+# Tokens of the KB grammar, and of the text between them: whitespace (which
+# findall skips) and comments (which _Tokens drops).
+_TOKEN_RE = re.compile(r"\[=|[A-Za-z0-9_]+|[().,:]|\#[^\n]*")
+_WS = r"[ \t\r\n]+"
 
 
 class _Tokens:
-    """Tokenizer for both grammars: token_re's group names are the token
-    kinds, and "ws", "comment" and "nl" tokens are dropped."""
+    """Tokenizer for both grammars: a token is a string that token_re
+    matches, and whitespace and ``#`` comments between tokens are dropped.
+    Line and column are computed only for an error message."""
 
     def __init__(self, text: str, token_re: re.Pattern):
-        self.tokens: list[tuple[str, str, int, int]] = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = token_re.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            kind = m.lastgroup
-            value = m.group()
-            if kind == "nl":
-                line += 1
-                col = 1
-            else:
-                if kind not in ("ws", "comment"):
-                    self.tokens.append((kind, value, line, col))
-                col += len(value)
-            pos = m.end()
+        self.text = text
+        self.token_re = token_re
+        scanned = re.match(f"(?:{_WS}|{token_re.pattern})*", text).end()
+        if scanned < len(text):
+            raise ParseError(f"unexpected character {text[scanned]!r}", *self._line_col(scanned))
+        self.tokens: list[str] = token_re.findall(text)
+        if "#" in text:
+            self.tokens = [t for t in self.tokens if t[0] != "#"]
         self.index = 0
 
-    def peek(self) -> tuple[str, str, int, int] | None:
+    def _line_col(self, offset: int) -> tuple[int, int]:
+        return self.text.count("\n", 0, offset) + 1, offset - self.text.rfind("\n", 0, offset)
+
+    def fail(self, message: str, index: int | None = None) -> NoReturn:
+        """Raise a ParseError at token `index`, by default the last one read."""
+        offsets = [m.start() for m in self.token_re.finditer(self.text) if m.group()[0] != "#"]
+        offset = offsets[self.index - 1 if index is None else index]
+        raise ParseError(message, *self._line_col(offset))
+
+    def peek(self) -> str | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
 
-    def next(self, expected: str | None = None) -> tuple[str, str, int, int]:
+    def next(self, expected: str | None = None) -> str:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else (None, "", 1, 1)
-            raise ParseError("unexpected end of input", last[2], last[3])
-        if expected is not None and tok[1] != expected:
-            raise ParseError(f"expected {expected!r}, found {tok[1]!r}", tok[2], tok[3])
+            if not self.tokens:
+                raise ParseError("unexpected end of input", 1, 1)
+            self.fail("unexpected end of input", len(self.tokens) - 1)
         self.index += 1
+        if expected is not None and tok != expected:
+            self.fail(f"expected {expected!r}, found {tok!r}")
         return tok
 
     def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[1] == value
+        return self.peek() == value
 
 
-def _check_reserved(name: str, line: int, col: int, toks: _Tokens) -> None:
+def _check_reserved(name: str, toks: _Tokens) -> None:
     if name in RESERVED_PREFIXES and toks.at(":"):
-        raise ParseError(f"reserved vocabulary name: {name}", line, col)
+        toks.fail(f"reserved vocabulary name: {name}")
 
 
-def _parse_name(toks: _Tokens, what: str) -> tuple[str, int, int]:
-    kind, value, line, col = toks.next()
-    if kind != "name" or not NAME_RE.match(value):
-        raise ParseError(f"expected {what}, found {value!r}", line, col)
-    _check_reserved(value, line, col, toks)
-    return value, line, col
+def _parse_name(toks: _Tokens, what: str) -> str:
+    value = toks.next()
+    if not NAME_RE.match(value):
+        toks.fail(f"expected {what}, found {value!r}")
+    _check_reserved(value, toks)
+    return value
 
 
-def _parse_individual(toks: _Tokens) -> Term:
-    kind, value, line, col = toks.next()
-    if kind != "name" or not INDIVIDUAL_RE.match(value):
-        raise ParseError(f"expected individual, found {value!r}", line, col)
-    _check_reserved(value, line, col, toks)
-    return individual(value)
+def _parse_individual(toks: _Tokens) -> str:
+    value = toks.next()
+    if not INDIVIDUAL_RE.match(value):
+        toks.fail(f"expected individual, found {value!r}")
+    _check_reserved(value, toks)
+    return value
 
 
 def _parse_role_expr(toks: _Tokens) -> RoleExpr:
-    name, line, col = _parse_name(toks, "role name")
+    name = _parse_name(toks, "role name")
     if name == "inv":
         toks.next("(")
-        inner, _, _ = _parse_name(toks, "role name")
+        inner = _parse_name(toks, "role name")
         toks.next(")")
         return RoleExpr(inner, inverse=True)
     return RoleExpr(name)
@@ -275,15 +298,56 @@ def _parse_side(toks: _Tokens):
     A bare name is ambiguous at this point; it is returned as a string and
     resolved once the whole file has been read.
     """
-    name, line, col = _parse_name(toks, "concept or role")
+    name = _parse_name(toks, "concept or role")
     if name == "exists":
         return exists(_parse_role_expr(toks))
     if name == "inv":
         toks.next("(")
-        inner, _, _ = _parse_name(toks, "role name")
+        inner = _parse_name(toks, "role name")
         toks.next(")")
         return RoleExpr(inner, inverse=True)
     return name
+
+
+def _parse_facts(toks: _Tokens) -> list[tuple[str, tuple[str, ...], int]]:
+    """The ABox statements: (predicate, argument names, token index)."""
+    tokens, facts = toks.tokens, []
+    i, n = toks.index, len(toks.tokens)
+    while i < n:
+        # The two shapes of a well-formed fact are read off the token list;
+        # anything else goes through the checking path, which raises.  A
+        # predicate is a name (a letter first), an individual a name or
+        # number (a letter or digit first); neither can be reserved here,
+        # since no ':' follows.
+        p = tokens[i]
+        if p[0].isalpha() and i + 4 < n and tokens[i + 1] == "(":
+            a = tokens[i + 2]
+            if a[0].isalnum():
+                if tokens[i + 3] == ")" and tokens[i + 4] == ".":
+                    facts.append((p, (a,), i))
+                    i += 5
+                    continue
+                b = tokens[i + 4]
+                if (
+                    tokens[i + 3] == "," and b[0].isalnum() and i + 6 < n
+                    and tokens[i + 5] == ")" and tokens[i + 6] == "."
+                ):
+                    facts.append((p, (a, b), i))
+                    i += 7
+                    continue
+        toks.index = i
+        name = _parse_name(toks, "predicate")
+        toks.next("(")
+        args = [_parse_individual(toks)]
+        if toks.at(","):
+            toks.next()
+            args.append(_parse_individual(toks))
+        toks.next(")")
+        toks.next(".")
+        facts.append((name, tuple(args), i))
+        i = toks.index
+    toks.index = i
+    return facts
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -296,33 +360,25 @@ def parse_kb(text: str) -> KnowledgeBase:
     raw_axioms: list[tuple] = []
     while not (toks.at("ABOX") or toks.peek() is None):
         lhs = _parse_side(toks)
-        tok = toks.next("[=")
+        toks.next("[=")
+        at = toks.index - 1
         negated = False
         if toks.at("not"):
             toks.next()
             negated = True
         rhs = _parse_side(toks)
-        raw_axioms.append((lhs, negated, rhs, tok[2], tok[3]))
+        raw_axioms.append((lhs, negated, rhs, at))
         toks.next(".")
     toks.next("ABOX")
     toks.next(":")
-
-    facts: list[tuple[str, tuple[Term, ...], int, int]] = []
-    while toks.peek() is not None:
-        name, line, col = _parse_name(toks, "predicate")
-        toks.next("(")
-        args = [_parse_individual(toks)]
-        if toks.at(","):
-            toks.next()
-            args.append(_parse_individual(toks))
-        toks.next(")")
-        toks.next(".")
-        facts.append((name, tuple(args), line, col))
+    facts = _parse_facts(toks)
 
     # Vocabulary inference for the ambiguous bare-name inclusions.
-    roles: set[str] = {name for name, args, _, _ in facts if len(args) == 2}
-    concepts: set[str] = {name for name, args, _, _ in facts if len(args) == 1}
-    for lhs, negated, rhs, _, _ in raw_axioms:
+    unary = {name for name, args, _ in facts if len(args) == 1}
+    binary = {name for name, args, _ in facts if len(args) == 2}
+    roles: set[str] = set(binary)
+    concepts: set[str] = set(unary)
+    for lhs, negated, rhs, _ in raw_axioms:
         for side in (lhs, rhs):
             if isinstance(side, RoleExpr):
                 roles.add(side.name)
@@ -338,7 +394,7 @@ def parse_kb(text: str) -> KnowledgeBase:
             concepts.add(lhs)
 
     axioms: list[TBoxAxiom] = []
-    for lhs, negated, rhs, line, col in raw_axioms:
+    for lhs, negated, rhs, at in raw_axioms:
         role_axiom = any(
             isinstance(s, RoleExpr) or (isinstance(s, str) and s in roles)
             for s in (lhs, rhs)
@@ -348,14 +404,12 @@ def parse_kb(text: str) -> KnowledgeBase:
             for s in (lhs, rhs):
                 if isinstance(s, str):
                     if s in concepts:
-                        raise ParseError(f"{s!r} used both as concept and role", line, col)
+                        toks.fail(f"{s!r} used both as concept and role", at)
                     sides.append(RoleExpr(s))
                 elif isinstance(s, RoleExpr):
                     sides.append(s)
                 else:
-                    raise ParseError(
-                        "role inclusion cannot mix concepts and roles", line, col
-                    )
+                    toks.fail("role inclusion cannot mix concepts and roles", at)
             axioms.append(RoleInclusion(sides[0], sides[1]))
             roles.update(s.name for s in sides)
         else:
@@ -367,25 +421,24 @@ def parse_kb(text: str) -> KnowledgeBase:
                 elif isinstance(s, BasicConcept):
                     sides.append(s)
                 else:
-                    raise ParseError(
-                        "disjointness requires basic concepts on both sides", line, col
-                    )
+                    toks.fail("disjointness requires basic concepts on both sides", at)
             if negated:
                 if sides[0] == sides[1]:
-                    raise ParseError("disjointness requires distinct concepts", line, col)
+                    toks.fail("disjointness requires distinct concepts", at)
                 axioms.append(ConceptDisjointness(sides[0], sides[1]))
             else:
                 axioms.append(ConceptInclusion(sides[0], sides[1]))
 
-    atoms = []
-    for name, args, line, col in facts:
-        if name in roles and len(args) == 1:
-            raise ParseError(f"role {name!r} used with 1 argument", line, col)
-        if name in concepts and len(args) == 2:
-            raise ParseError(f"concept {name!r} used with 2 arguments", line, col)
-        atoms.append(Atom(name, args))
-        (roles if len(args) == 2 else concepts).add(name)
-
+    # A name is used with one arity, as a role or as a concept; the first
+    # fact that breaks this is reported.
+    if unary & roles or binary & concepts:
+        for name, args, at in facts:
+            if name in roles and len(args) == 1:
+                toks.fail(f"role {name!r} used with 1 argument", at)
+            if name in concepts and len(args) == 2:
+                toks.fail(f"concept {name!r} used with 2 arguments", at)
+    terms = {name: individual(name) for name in {n for _, args, _ in facts for n in args}}
+    atoms = [Atom(name, tuple(map(terms.__getitem__, args))) for name, args, _ in facts]
     return KnowledgeBase(frozenset(axioms), frozenset(atoms))
 
 

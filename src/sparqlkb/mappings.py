@@ -27,7 +27,8 @@ class SolutionMapping:
         names = [v.name for v, _ in self.bindings]
         if len(set(names)) != len(names):
             raise ValueError("variable bound twice")
-        if list(self.bindings) != sorted(self.bindings):
+        # with each variable bound once, the pairs are sorted iff the names are
+        if names != sorted(names):
             raise ValueError("bindings must be sorted; use SolutionMapping.of")
 
     @property
@@ -155,5 +156,6 @@ def otimes(omega: MappingSet, family: VarSetFamily) -> MappingSet:
 
 
 def sort_mappings(omega: MappingSet) -> list[SolutionMapping]:
-    """Deterministic order: lexicographic over the sorted binding pairs."""
-    return sorted(omega, key=lambda w: w.bindings)
+    """Deterministic order: lexicographic over the sorted binding pairs
+    (keyed on the fields that order Var and Term, which compare faster)."""
+    return sorted(omega, key=lambda w: [(v.name, t.kind, t.name) for v, t in w.bindings])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .errors import ParseError, QueryShapeError
+from .errors import QueryShapeError
 from .kb import INDIVIDUAL_RE, NAME_RE, Term, Var, _Tokens, individual
 
 VarSet = frozenset[Var]
@@ -228,42 +228,36 @@ def max_admissible_subsets(q: Query, x2: VarSet) -> VarSetFamily:
 
 # --- parsing / serialization ------------------------------------------------
 
-_Q_TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<nl>\n)
-      | (?P<name>[A-Za-z0-9_]+)
-      | (?P<punct>[(){},?])
-    """,
-    re.VERBOSE,
-)
+_Q_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[(){},?]")
 
 
 def _parse_term(toks: _Tokens) -> Union[Var, Term]:
     if toks.at("?"):
         toks.next()
-        kind, value, line, col = toks.next()
-        if kind != "name" or not NAME_RE.match(value):
-            raise ParseError(f"expected variable name, found {value!r}", line, col)
+        value = toks.next()
+        if not NAME_RE.match(value):
+            toks.fail(f"expected variable name, found {value!r}")
         return Var(value)
-    kind, value, line, col = toks.next()
-    if kind != "name" or not INDIVIDUAL_RE.match(value):
-        raise ParseError(f"expected individual, found {value!r}", line, col)
+    value = toks.next()
+    if not INDIVIDUAL_RE.match(value):
+        toks.fail(f"expected individual, found {value!r}")
     return individual(value)
 
 
 def _parse_query(toks: _Tokens, depth: int = 0) -> Query:
-    kind, value, line, col = toks.next()
-    if kind != "name":
-        raise ParseError(f"expected query, found {value!r}", line, col)
+    value = toks.next()
+    at = toks.index - 1
+    if not (value[0].isalnum() or value[0] == "_"):
+        toks.fail(f"expected query, found {value!r}")
     if value in _KEYWORDS and depth == _MAX_NESTING:
-        raise ParseError("query nested too deeply", line, col)
+        toks.fail("query nested too deeply")
     if value == "SELECT":
         toks.next("{")
         var_names = []
         while not toks.at("}"):
-            k, v, ln, c = toks.next()
-            if k != "name" or not NAME_RE.match(v):
-                raise ParseError(f"expected variable name, found {v!r}", ln, c)
+            v = toks.next()
+            if not NAME_RE.match(v):
+                toks.fail(f"expected variable name, found {v!r}")
             var_names.append(v)
             if toks.at(","):
                 toks.next()
@@ -274,7 +268,7 @@ def _parse_query(toks: _Tokens, depth: int = 0) -> Query:
         try:
             return Select(frozenset(Var(v) for v in var_names), body)
         except ValueError as exc:
-            raise ParseError(str(exc), line, col) from exc
+            toks.fail(str(exc), at)
     if value in ("UNION", "JOIN", "OPT"):
         toks.next("(")
         left = _parse_query(toks, depth + 1)
@@ -284,7 +278,7 @@ def _parse_query(toks: _Tokens, depth: int = 0) -> Query:
         ctor = {"UNION": UnionQ, "JOIN": JoinQ, "OPT": OptQ}[value]
         return ctor(left, right)
     if not NAME_RE.match(value):
-        raise ParseError(f"invalid predicate name {value!r}", line, col)
+        toks.fail(f"invalid predicate name {value!r}")
     toks.next("(")
     args = [_parse_term(toks)]
     if toks.at(","):
@@ -299,7 +293,7 @@ def parse_query(text: str) -> Query:
     q = _parse_query(toks)
     tok = toks.peek()
     if tok is not None:
-        raise ParseError(f"trailing input: {tok[1]!r}", tok[2], tok[3])
+        toks.fail(f"trailing input: {tok!r}", toks.index)
     return q
 
 

@@ -1,20 +1,42 @@
-"""The six answer semantics, each a pure function of (query, KB)."""
+"""The six answer semantics, each a pure function of (query, KB).
+
+They run on the engine's slot rows (see graph.py) and build the public
+SolutionMappings once, for the rows they return.  restrict_filter,
+restrict_project and otimes below are the slot-row forms of the operators
+of the same names in mappings.py.
+"""
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import is_
+
 from .chase import chase, default_bound, entailed_abox
 from .errors import QueryShapeError
-from .kb import KnowledgeBase, active_domain
-# sparql_ans_branch, join, diff, project and adm are unused here; the
-# benchmark tracer looks them up in this module.
-from .graph import Graph, sparql_ans, sparql_ans_branch
-from .mappings import MappingSet, join, diff, project, otimes, restrict_filter, restrict_project
+from .kb import KnowledgeBase, Var
+# sparql_ans, sparql_ans_branch, join, diff, project and adm are unused
+# here; the benchmark tracer looks them up in this module.
+from .graph import (
+    Rows,
+    diff,
+    evaluate,
+    join,
+    pad,
+    project,
+    sparql_ans,
+    sparql_ans_branch,
+    to_mappings,
+    unbind,
+)
+from .mappings import MappingSet
 from .query import (
     JoinQ,
     Query,
     Select,
     TriplePattern,
     UnionQ,
+    VarSet,
+    VarSetFamily,
     adm,
     branch,
     is_union_free,
@@ -23,9 +45,46 @@ from .query import (
 )
 
 
+def restrict_filter(rows: Rows, b: frozenset[str]) -> Rows:
+    """Ω ▷ B: keep only the rows whose values all lie in B."""
+    allowed = b | {None}
+    return Rows(rows.vars, {row for row in rows.rows if allowed.issuperset(row)})
+
+
+def restrict_project(rows: Rows, b: frozenset[str]) -> Rows:
+    """Ω ▶ B: unbind every slot whose value is not in B."""
+    keep = {name: name for name in b}.get
+    return Rows(rows.vars, {tuple(map(keep, row)) for row in rows.rows})
+
+
+def _by_domain(rows: Rows) -> dict[tuple[bool, ...], list[tuple]]:
+    """The rows grouped by their unbound slots."""
+    groups: dict[tuple[bool, ...], list[tuple]] = {}
+    for row in rows.rows:
+        groups.setdefault(tuple(map(is_, row, repeat(None))), []).append(row)
+    return groups
+
+
+def _domain(names: tuple[str, ...], unbound: tuple[bool, ...]) -> VarSet:
+    """The variables that a row with these unbound slots binds."""
+    return frozenset(Var(v) for v, free in zip(names, unbound) if not free)
+
+
+def otimes(rows: Rows, family: VarSetFamily) -> Rows:
+    """Ω ⊗ 𝒳: restrict each row to every maximal X ∈ 𝒳 inside its domain."""
+    out: set[tuple] = set()
+    for unbound, group in _by_domain(rows).items():
+        domain = _domain(rows.vars, unbound)
+        inside = [x for x in family if x <= domain]
+        for x in inside:
+            if not any(x < y for y in inside):
+                out.update(unbind(Rows(rows.vars, group), (v.name for v in x)).rows)
+    return Rows(rows.vars, out)
+
+
 def plain_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """SPARQL answers over the ABox viewed as a plain graph; TBox ignored."""
-    return sparql_ans(q, Graph(kb.abox))
+    return to_mappings(evaluate(q, kb.encoded.facts), kb.encoded.terms)
 
 
 def _cq_join_tree(q: Query) -> bool:
@@ -70,20 +129,26 @@ def er_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     Chase atoms over named individuals are exactly the entailed ABox, so
     the certain answers to a triple pattern are its matches there.
     """
-    return sparql_ans(q, entailed_abox(kb))
+    return to_mappings(evaluate(q, entailed_abox(kb).index), kb.encoded.terms)
+
+
+def _canonical(q: Query, kb: KnowledgeBase, depth: int | None) -> Rows:
+    """The answers over the chase to the depth given or the default one."""
+    cg = chase(kb, default_bound(kb, q) if depth is None else depth)
+    return evaluate(q, cg.graph.index)
 
 
 def can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Answers over the canonical model, filtered to the active domain."""
-    cg = chase(kb, default_bound(kb, q) if depth is None else depth)
-    return restrict_filter(sparql_ans(q, cg.graph), active_domain(kb))
+    rows = restrict_filter(_canonical(q, kb, depth), kb.encoded.adom)
+    return to_mappings(rows, kb.encoded.terms)
 
 
 def rest_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Answers over the canonical model, each projected onto its
     active-domain-valued bindings."""
-    cg = chase(kb, default_bound(kb, q) if depth is None else depth)
-    return restrict_project(sparql_ans(q, cg.graph), active_domain(kb))
+    rows = restrict_project(_canonical(q, kb, depth), kb.encoded.adom)
+    return to_mappings(rows, kb.encoded.terms)
 
 
 def m_can_ans_sjo(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
@@ -96,22 +161,28 @@ def m_can_ans_sjo(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Mapp
 def m_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Maximal admissible canonical answers, per branch, for SUJO queries."""
     cg = chase(kb, default_bound(kb, q) if depth is None else depth)
-    adom = active_domain(kb)
-    full = sparql_ans(q, cg.graph)
-    out: set = set()
+    full = evaluate(q, cg.graph.index)
+    out: set[tuple] = set()
     for qb in branch(q):
         # sparql_ans_branch(q, cg.graph, qb), with q evaluated once
-        answers = full if qb == q else full & sparql_ans(qb, cg.graph)
-        restricted = restrict_project(answers, adom)
+        if qb == q:
+            answers = full
+        else:
+            branch_rows = pad(evaluate(qb, cg.graph.index), full.vars)
+            answers = Rows(full.vars, full.rows & branch_rows.rows)
+        restricted = restrict_project(answers, kb.encoded.adom)
         # The largest admissible subset of each row domain, in place of
         # adm(qb), which has 2^k members for k OPTs.  Any such set inside a
         # domain D is admissible, so it lies under D's own: ⊗ keeps the
         # same maximal sets.
         family = frozenset().union(
-            *(max_admissible_subsets(qb, d) for d in {w.domain for w in restricted})
+            *(
+                max_admissible_subsets(qb, _domain(full.vars, unbound))
+                for unbound in _by_domain(restricted)
+            )
         )
-        out.update(otimes(restricted, family))
-    return frozenset(out)
+        out.update(otimes(restricted, family).rows)
+    return to_mappings(Rows(full.vars, out), kb.encoded.terms)
 
 
 SEMANTICS = {

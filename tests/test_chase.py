@@ -83,6 +83,55 @@ class TestSaturate:
                         assert (a, d) in pairs
 
 
+def _fixpoint_closure(pairs, domain):
+    """Reference: the reflexive-transitive closure by the naive fixpoint."""
+    closure = set(pairs) | {(x, x) for x in domain}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(closure):
+            for (c, d) in list(closure):
+                if b == c and (a, d) not in closure:
+                    closure.add((a, d))
+                    changed = True
+    return closure
+
+
+def _random_tbox(rng: random.Random) -> frozenset:
+    """1 to 25 axioms over 6 concepts and 4 roles, inverses included."""
+    concepts, roles = "ABCDEF", "rstu"
+
+    def basic() -> BasicConcept:
+        kind = rng.choice(["atomic", "atomic", "exists", "exists_inv"])
+        return BasicConcept(kind, rng.choice(concepts if kind == "atomic" else roles))
+
+    def role() -> RoleExpr:
+        return RoleExpr(rng.choice(roles), rng.random() < 0.4)
+
+    tbox: set = set()
+    for _ in range(rng.randint(1, 25)):
+        axiom, make = rng.choice([
+            (ConceptInclusion, basic), (ConceptInclusion, basic),
+            (RoleInclusion, role), (ConceptDisjointness, basic),
+        ])
+        lhs, rhs = make(), make()
+        if lhs != rhs:
+            tbox.add(axiom(lhs, rhs))
+    return frozenset(tbox)
+
+
+class TestClosure:
+    def test_one_search_per_node_equals_the_fixpoint(self, monkeypatch):
+        tboxes = [_random_tbox(random.Random(seed)) for seed in range(500)]
+        fast = [saturate.__wrapped__(tbox) for tbox in tboxes]
+        monkeypatch.setattr(chase_module, "_transitive_closure", _fixpoint_closure)
+        for tbox, sat in zip(tboxes, fast):
+            expected = saturate.__wrapped__(tbox)
+            assert sat == expected
+            assert (sat.supers, sat.implied) == (expected.supers, expected.implied)
+        assert sum(bool(sat.disjointness_closure) for sat in fast) > 100
+
+
 class TestChase:
     def test_single_existential_step(self):
         cg = chase(load_kb("ex1.kb"), 1)

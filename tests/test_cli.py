@@ -2,11 +2,14 @@
 
 import io
 import json
+import random
 
 import pytest
 
 from conftest import FIXTURES, join_chain
 from sparqlkb import SEMANTICS
+from sparqlkb.kb import Atom
+from sparqlkb.mappings import SolutionMapping
 from sparqlkb.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -67,6 +70,49 @@ class TestEval:
             "--semantics", "certain-ucq",
         )
         assert code == EXIT_USAGE
+
+
+class TestBoundary:
+    """The engine runs on names and slot rows: one request builds the
+    public types only for the ABox it parses and the rows it prints."""
+
+    def test_one_request_builds_public_types_only_at_the_boundary(
+        self, tmp_path, monkeypatch
+    ):
+        # a teaching-opt-shaped KB: 200 teachers, 100 teachesTo and 100
+        # knows facts; teachers without a named student get a witness
+        rng = random.Random(7)
+        facts = {f"Teacher(T{i})" for i in range(200)}
+        while len(facts) < 300:
+            facts.add(f"teachesTo(T{rng.randrange(200)}, S{rng.randrange(200)})")
+        while len(facts) < 400:
+            facts.add(f"knows(S{rng.randrange(200)}, S{rng.randrange(200)})")
+        kb = tmp_path / "teaching.kb"
+        kb.write_text(
+            "TBOX:\nTeacher [= exists teachesTo .\nteachesTo [= inv(hasTeacher) .\n"
+            "exists inv(teachesTo) [= Student .\nStudent [= Person .\n"
+            "Teacher [= Person .\nPerson [= not Car .\nABOX:\n"
+            + "".join(f"{f} .\n" for f in sorted(facts))
+        )
+        q = tmp_path / "teaching.sq"
+        q.write_text("SELECT{x,z}( OPT( teachesTo(?x, ?y), knows(?y, ?z) ) )\n")
+        built = {Atom: 0, SolutionMapping: 0}
+        for cls in built:
+            check = cls.__post_init__
+
+            def counting(self, cls=cls, check=check):
+                built[cls] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        code, text = run(
+            "eval", "--kb", str(kb), "--query", str(q), "--semantics", "mcan"
+        )
+        assert code == EXIT_OK
+        rows = text.count("\n")
+        assert rows > 200
+        assert built[SolutionMapping] <= rows
+        assert built[Atom] == len(facts)
 
 
 class TestChase:
@@ -233,6 +279,16 @@ class TestErrorPaths:
         )
         assert code == EXIT_USAGE and text == ""
         assert "expected ids in 1..5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--kb", fixture("ex1.kb"), "--query", fixture("ex1.sq"),
+         "--semantics", "mcan", "--depth", "-2"],
+        ["chase", "--kb", fixture("ex1.kb"), "--depth", "-3"],
+    ])
+    def test_negative_depth_is_usage(self, command, capsys):
+        code, text = run(*command)
+        assert code == EXIT_USAGE and text == ""
+        assert "expected a non-negative integer" in capsys.readouterr().err
 
     def test_negative_count_is_usage(self, tmp_path, capsys):
         code, _ = run("gen", "--count", "-1", "--out", str(tmp_path))

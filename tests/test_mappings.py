@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import m, ms, V
+import sparqlkb.graph as graph_module
 import sparqlkb.mappings as mappings_module
 from sparqlkb.kb import Var, individual
 from sparqlkb.mappings import (
@@ -145,6 +146,59 @@ class TestHashAlgebra:
         out = join(left, right)
         assert len(out) == 1000
         assert len(calls) <= len(left) + len(out)
+
+
+def _slot_rows(omega, extra):
+    """Ω as slot rows over the variables its rows bind and those in extra."""
+    names = tuple(sorted({v.name for w in omega for v in w.domain} | {v.name for v in extra}))
+    named = [{v.name: t.name for v, t in w.bindings} for w in omega]
+    rows = {tuple(d.get(n) for n in names) for d in named}
+    return graph_module.Rows(names, rows)
+
+
+@st.composite
+def slot_operand_pairs(draw):
+    """(Ω1, Ω2) as mapping sets and as slot rows: the rows mix bound and
+    unbound slots, and a var list may hold variables no row binds."""
+    omega1, omega2 = draw(operand_pairs())
+    return (
+        omega1,
+        omega2,
+        _slot_rows(omega1, draw(var_sets)),
+        _slot_rows(omega2, draw(var_sets)),
+    )
+
+
+class TestSlotRows:
+    """graph.join/diff/union on slot rows against the mapping-level
+    operators, which define them."""
+
+    @given(slot_operand_pairs())
+    def test_join_matches_mappings(self, operands):
+        omega1, omega2, rows1, rows2 = operands
+        assert graph_module.to_mappings(graph_module.join(rows1, rows2)) == join(omega1, omega2)
+
+    @given(slot_operand_pairs())
+    def test_diff_matches_mappings(self, operands):
+        omega1, omega2, rows1, rows2 = operands
+        assert graph_module.to_mappings(graph_module.diff(rows1, rows2)) == diff(omega1, omega2)
+
+    @given(slot_operand_pairs())
+    def test_union_matches_mappings(self, operands):
+        omega1, omega2, rows1, rows2 = operands
+        assert graph_module.to_mappings(graph_module.union(rows1, rows2)) == omega1 | omega2
+
+    @given(slot_operand_pairs(), var_sets)
+    def test_project_matches_mappings(self, operands, xs):
+        omega1, _, rows1, _ = operands
+        projected = graph_module.project(rows1, (v.name for v in xs))
+        assert graph_module.to_mappings(projected) == project(omega1, xs)
+
+    @given(mapping_sets, mapping_sets, var_sets, var_sets)
+    def test_arbitrary_domains_match_mappings(self, o1, o2, x1, x2):
+        rows1, rows2 = _slot_rows(o1, x1), _slot_rows(o2, x2)
+        assert graph_module.to_mappings(graph_module.join(rows1, rows2)) == join(o1, o2)
+        assert graph_module.to_mappings(graph_module.diff(rows1, rows2)) == diff(o1, o2)
 
 
 class TestDiffAndProject:

@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 
+import reference
 import sparqlkb.query
 import sparqlkb.semantics
 from conftest import load_kb, load_query, m, ms
@@ -231,3 +232,21 @@ class TestDepthIndependence:
                 except QueryShapeError:
                     continue
                 assert shallow == fn(q, kb, depth=12), (kb_name, q_name, name)
+
+
+class TestSlotRowEngine:
+    """The engine runs on names and slot rows; the SolutionMapping-level
+    references in reference.py define what it must return."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 17, 23, 31])
+    def test_every_semantics_matches_the_reference(self, seed):
+        functions = dict(SEMANTICS, **{"mcan-sjo": m_can_ans_sjo})
+        for kb, q in islice(generate_instances(seed, SizeParams()), 400):
+            for name, fn in functions.items():
+                try:
+                    expected = reference.SEMANTICS[name](q, kb)
+                except QueryShapeError:
+                    with pytest.raises(QueryShapeError):
+                        fn(q, kb)
+                    continue
+                assert fn(q, kb) == expected, (name, serialize_query(q))
