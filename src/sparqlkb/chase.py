@@ -136,11 +136,6 @@ class ChaseGraph:
     graph: Graph
     depth_of: tuple[tuple[str, int], ...]  # anonymous term name -> depth
     bound: int
-    kb: KnowledgeBase
-
-
-class ChaseSizeExceeded(Exception):
-    """Internal guard used by the instance generator to skip blowups."""
 
 
 class _Type(NamedTuple):
@@ -241,9 +236,7 @@ def _saturated_abox(kb: KnowledgeBase, sat: SaturatedTBox) -> tuple[dict, dict[s
     return index, types
 
 
-def _build_chase(
-    kb: KnowledgeBase, bound: int, max_elements: int | None = None
-) -> ChaseGraph:
+def _build_chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     sat = saturate(kb.tbox)
     index, types = _checked_abox(kb, sat)
     # per role fired: its path segment, the (edge set, inverse) pairs of
@@ -275,14 +268,12 @@ def _build_chase(
             segment, edges, concepts, witness_fire = plan(r)
             witness = prefix + segment
             depth_of[witness] = depth + 1
-            if max_elements is not None and len(depth_of) > max_elements:
-                raise ChaseSizeExceeded()
             for edge_set, inverse in edges:
                 edge_set.add((witness, parent) if inverse else (parent, witness))
             for concept_set in concepts:
                 concept_set.add((witness,))
             queue.append((witness, depth + 1, witness_fire))
-    return ChaseGraph(Graph.of_index(index), tuple(sorted(depth_of.items())), bound, kb)
+    return ChaseGraph(Graph.of_index(index), tuple(sorted(depth_of.items())), bound)
 
 
 # Small caches: a request rarely reuses another's KB, and every entry keeps
@@ -291,6 +282,28 @@ def _build_chase(
 def chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     """Restricted chase up to the given witness depth; rejects unsat KBs."""
     return _build_chase(kb, bound)
+
+
+def witness_count(kb: KnowledgeBase, bound: int) -> int:
+    """The number of witnesses in `chase(kb, bound)`, counted over the
+    types without building the chase.  A witness made through r, with d
+    levels left to the bound, heads W(r, d) = 1 + Σ W(s, d − 1) witnesses,
+    over the roles s its type fires, and W(r, 0) = 0."""
+    sat = saturate(kb.tbox)
+    fires: dict[RoleExpr, tuple[RoleExpr, ...]] = {}
+    counts: dict[tuple[RoleExpr, int], int] = {}
+
+    def count(r: RoleExpr, d: int) -> int:
+        if d <= 0:
+            return 0
+        if (r, d) not in counts:
+            if r not in fires:
+                fires[r] = _witness_type(r, sat).fire
+            counts[r, d] = 1 + sum(count(s, d - 1) for s in fires[r])
+        return counts[r, d]
+
+    types = _saturated_abox(kb, sat)[1]
+    return sum(count(r, bound) for typ in types.values() for r in typ.fire)
 
 
 def model_bound(kb: KnowledgeBase) -> int:

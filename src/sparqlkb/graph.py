@@ -134,8 +134,8 @@ def _compatible(l: tuple, r: tuple, loose) -> bool:
 
 
 def join(left: Rows, right: Rows) -> Rows:
-    """Ω1 ⋈ Ω2 on slot rows as a hash join: the slot-row form of
-    `mappings.join`."""
+    """Ω1 ⋈ Ω2: the merge of every pair of compatible rows (rows that agree
+    on each variable both bind), as a hash join."""
     out, take, shared = _merge_plan(left.vars, right.vars)
     if not left.rows or not right.rows:
         return Rows(out, frozenset())
@@ -159,8 +159,8 @@ def join(left: Rows, right: Rows) -> Rows:
 
 
 def diff(left: Rows, right: Rows) -> Rows:
-    """Ω1 ∖ Ω2 on slot rows as a hash anti-join on the same partition as
-    `join`: the slot-row form of `mappings.diff`."""
+    """Ω1 ∖ Ω2: the rows of Ω1 compatible with no row of Ω2, as a hash
+    anti-join on the same partition as `join`."""
     if not left.rows or not right.rows:
         return left
     _, _, shared = _merge_plan(left.vars, right.vars)
@@ -203,8 +203,8 @@ def _pad_picker(names: tuple[str, ...], out: tuple[str, ...]) -> Callable[[tuple
 
 
 def project(rows: Rows, names: Iterable[str]) -> Rows:
-    """Restrict every row to the given variables: the slot-row form of
-    `mappings.project`."""
+    """π_X(Ω): every row restricted to the variables in X, over the
+    variables of X that the rows have."""
     out = tuple(sorted(set(names) & set(rows.vars)))
     if out == rows.vars:
         return rows

@@ -1,9 +1,11 @@
 """The six answer semantics, each a pure function of (query, KB).
 
 They run on the engine's slot rows (see graph.py) and build the public
-SolutionMappings once, for the rows they return.  restrict_filter,
-restrict_project and otimes below are the slot-row forms of the operators
-of the same names in mappings.py.
+SolutionMappings once, for the rows they return.  Besides graph.py's ⋈, ∖,
+∪ and π, they use three operators of their own, defined below on slot rows:
+Ω ▷ B keeps the rows that range inside the term set B, Ω ▶ B unbinds every
+value outside B, and Ω ⊗ 𝒳 restricts each row to every maximal member of
+the variable-set family 𝒳 inside its domain.
 """
 
 from __future__ import annotations

@@ -1,21 +1,13 @@
-"""Test-only references: the SolutionMapping-level evaluator and the six
-semantics built on it, as the engine computed them before it ran on slot
-rows.  They use the public types throughout and the operators of
-``sparqlkb.mappings``."""
+"""Test-only references: the answer algebra by its definitions, on
+SolutionMappings, and the evaluator and six semantics built on it, as the
+engine computed them before it ran on slot rows.  Join and difference check
+every pair of rows, so nothing here shares the engine's hash partition."""
 
 from sparqlkb.chase import chase, default_bound, entailed_abox
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.graph import Graph
 from sparqlkb.kb import Var, active_domain
-from sparqlkb.mappings import (
-    SolutionMapping,
-    diff,
-    join,
-    otimes,
-    project,
-    restrict_filter,
-    restrict_project,
-)
+from sparqlkb.mappings import SolutionMapping
 from sparqlkb.query import (
     JoinQ,
     OptQ,
@@ -26,6 +18,78 @@ from sparqlkb.query import (
     max_admissible_subsets,
 )
 from sparqlkb.semantics import is_ucq_shape
+
+
+def restrict(w, xs):
+    """ω|_X: the bindings of ω whose variable lies in X."""
+    return SolutionMapping(tuple(p for p in w.bindings if p[0] in xs))
+
+
+def restrict_range(w, bs):
+    """ω‖_B: the bindings of ω whose value lies in B."""
+    return SolutionMapping(tuple(p for p in w.bindings if p[1] in bs))
+
+
+def merge(w1, w2):
+    """ω1 ∪ ω2, for compatible ω1 and ω2."""
+    return SolutionMapping.of(w1.bindings + w2.bindings)
+
+
+def _with_bindings(omega):
+    """Each mapping of Ω with its set of bindings and its domain, by name.
+    Two mappings are compatible when the union of their bindings binds no
+    variable twice, so when it has as many pairs as their domains have
+    variables."""
+    return [
+        (w, frozenset((v.name, t.name) for v, t in w.bindings), {v.name for v, _ in w.bindings})
+        for w in omega
+    ]
+
+
+def nested_loop_join(omega1, omega2):
+    """Ω1 ⋈ Ω2 by checking every pair of rows."""
+    right = _with_bindings(omega2)
+    return frozenset(
+        merge(w1, w2)
+        for w1, p1, d1 in _with_bindings(omega1)
+        for w2, p2, d2 in right
+        if len(p1 | p2) == len(d1 | d2)
+    )
+
+
+def nested_loop_diff(omega1, omega2):
+    """Ω1 ∖ Ω2 by checking every pair of rows."""
+    right = _with_bindings(omega2)
+    return frozenset(
+        w1
+        for w1, p1, d1 in _with_bindings(omega1)
+        if not any(len(p1 | p2) == len(d1 | d2) for _, p2, d2 in right)
+    )
+
+
+def project(omega, xs):
+    """π_X(Ω)."""
+    return frozenset(restrict(w, xs) for w in omega)
+
+
+def restrict_filter(omega, bs):
+    """Ω ▷ B: the mappings whose values all lie in B."""
+    return frozenset(w for w in omega if all(t in bs for _, t in w.bindings))
+
+
+def restrict_project(omega, bs):
+    """Ω ▶ B: each mapping restricted to its bindings with values in B."""
+    return frozenset(restrict_range(w, bs) for w in omega)
+
+
+def otimes(omega, family):
+    """Ω ⊗ 𝒳: each ω restricted to every maximal X ∈ 𝒳 with X ⊆ dom(ω)."""
+    return frozenset(
+        restrict(w, x)
+        for w in omega
+        for x in family
+        if x <= w.domain and not any(x < y <= w.domain for y in family)
+    )
 
 
 def _match_pattern(tp, g):
@@ -55,11 +119,11 @@ def sparql_ans(q, g):
     if isinstance(q, UnionQ):
         return sparql_ans(q.left, g) | sparql_ans(q.right, g)
     if isinstance(q, JoinQ):
-        return join(sparql_ans(q.left, g), sparql_ans(q.right, g))
+        return nested_loop_join(sparql_ans(q.left, g), sparql_ans(q.right, g))
     if isinstance(q, OptQ):
         left = sparql_ans(q.left, g)
         right = sparql_ans(q.right, g)
-        return join(left, right) | diff(left, right)
+        return nested_loop_join(left, right) | nested_loop_diff(left, right)
     return project(sparql_ans(q.body, g), q.vars)
 
 

@@ -15,6 +15,7 @@ from sparqlkb.chase import (
     is_satisfiable,
     model_bound,
     saturate,
+    witness_count,
 )
 from sparqlkb.errors import UnsatisfiableKbError
 from sparqlkb.harness import SizeParams, generate_instances
@@ -248,6 +249,14 @@ class TestChase:
         kb = parse_kb("TBOX: A [= not B . ABOX: A(c) . B(c) .")
         with pytest.raises(UnsatisfiableKbError):
             chase(kb, 2)
+
+
+class TestWitnessCount:
+    @pytest.mark.parametrize("seed", [1, 7, 29])
+    def test_equals_the_chase_size_at_every_depth(self, seed):
+        for kb, q in islice(generate_instances(seed, SizeParams()), 200):
+            for d in range(default_bound(kb, q) + 1):
+                assert witness_count(kb, d) == len(chase(kb, d).depth_of), (seed, d)
 
 
 class TestDefaultBound:

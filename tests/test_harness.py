@@ -1,5 +1,6 @@
 """Requirement checks, brute-force oracles, generator, and differential runs."""
 
+import hashlib
 from itertools import islice
 
 import pytest
@@ -146,6 +147,28 @@ class TestGenerator:
             for _, q in islice(generate_instances(19, SizeParams()), 80)
         ]
         assert any(shapes) and not all(shapes)
+
+
+class TestStream:
+    """The generated stream is pinned: sha256 over serialize_kb(kb) +
+    serialize_query(q) of its first 200 instances."""
+
+    @pytest.mark.parametrize(
+        ("seed", "jo_only", "digest"),
+        [
+            (1, False, "0f44248b2307a728513ace5b51a9e662a8fa082b488ba70f413854cede1ba9a9"),
+            (7, False, "a72aae84fb1afa4c295a52ced300abe15688faf8c7d0175ef8af2b1b6c7b0552"),
+            (29, False, "ab5d7d2b283748823eef7c906456bbc9d225c778af3cc196ce5bc8546982972d"),
+            (1, True, "70b2c3bc57c1a1ee1f870c4d01db4bcc2b83893778ea5c64588b15796f6f45c2"),
+            (7, True, "52e9aa6dd9ef1fa54c97a71f4c6130414408f98f19b172777bc9281e279343c2"),
+            (29, True, "bcf64677cd30d8df48430a554846e5cbc9d407be14e64fb0fa575b770d733fca"),
+        ],
+    )
+    def test_first_instances_are_unchanged(self, seed, jo_only, digest):
+        h = hashlib.sha256()
+        for kb, q in islice(generate_instances(seed, jo_only=jo_only), 200):
+            h.update((serialize_kb(kb) + serialize_query(q)).encode())
+        assert h.hexdigest() == digest
 
 
 class TestDifferential:

@@ -1,27 +1,23 @@
-"""Solution mappings and the set-level operators, mostly as properties."""
+"""Solution mappings, and the laws of the answer algebra: graph.py's ⋈, ∖,
+∪ and π and semantics.py's ▷, ▶ and ⊗ on slot rows, checked against the
+definitions on SolutionMappings in reference.py."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import m, ms, V
+import reference
 import sparqlkb.graph as graph_module
-import sparqlkb.mappings as mappings_module
+from conftest import m, ms, V
+from sparqlkb.graph import Rows, diff, join, project, to_mappings, union
 from sparqlkb.kb import Var, individual
 from sparqlkb.mappings import (
-    EMPTY_MAPPING,
     SolutionMapping,
     compatible,
-    diff,
     extends,
-    join,
-    merge,
-    otimes,
-    project,
-    restrict_filter,
-    restrict_project,
     set_extends,
     sort_mappings,
 )
+from sparqlkb.semantics import otimes, restrict_filter, restrict_project
 
 _VARS = st.sampled_from([Var(n) for n in "xyzvw"])
 _TERMS = st.sampled_from([individual(n) for n in "abcd"])
@@ -52,18 +48,21 @@ def operand_pairs(draw):
     return draw(_rows(frozenset(), "xyz")), draw(_rows(frozenset(), "vw"))
 
 
-def nested_loop_join(omega1, omega2):
-    """Reference: Ω1 ⋈ Ω2 by checking every pair of rows."""
-    return frozenset(
-        merge(w1, w2) for w1 in omega1 for w2 in omega2 if compatible(w1, w2)
-    )
+def _slot_rows(omega, extra=()):
+    """Ω as slot rows over the variables its rows bind and those in extra."""
+    names = tuple(sorted({v.name for w in omega for v in w.domain} | {v.name for v in extra}))
+    named = [{v.name: t.name for v, t in w.bindings} for w in omega]
+    rows = {tuple(d.get(n) for n in names) for d in named}
+    return Rows(names, rows)
 
 
-def nested_loop_diff(omega1, omega2):
-    """Reference: Ω1 ∖ Ω2 by checking every pair of rows."""
-    return frozenset(
-        w1 for w1 in omega1 if not any(compatible(w1, w2) for w2 in omega2)
-    )
+# Ω as mappings and as slot rows whose var list may hold variables no row binds
+slot_sets = st.builds(lambda omega, extra: (omega, _slot_rows(omega, extra)), mapping_sets, var_sets)
+
+
+def _names(xs) -> frozenset[str]:
+    """The names of a set of variables or terms, as the engine holds them."""
+    return frozenset(x.name for x in xs)
 
 
 class TestSolutionMapping:
@@ -86,74 +85,84 @@ class TestSolutionMapping:
 
     @given(mappings, var_sets)
     def test_restrict_shrinks_the_domain(self, w, xs):
-        assert w.restrict(xs).domain == w.domain & xs
+        assert reference.restrict(w, xs).domain == w.domain & xs
 
     @given(mappings, term_sets)
     def test_restrict_range_keeps_only_those_values(self, w, bs):
-        assert w.restrict_range(bs).range <= bs
-        assert extends(w.restrict_range(bs), w)
+        restricted = reference.restrict_range(w, bs)
+        assert {t for _, t in restricted.bindings} <= bs
+        assert extends(restricted, w)
 
 
 class TestJoin:
-    @given(mapping_sets, mapping_sets)
+    @given(slot_sets, slot_sets)
     def test_commutative(self, o1, o2):
-        assert join(o1, o2) == join(o2, o1)
+        (_, r1), (_, r2) = o1, o2
+        assert to_mappings(join(r1, r2)) == to_mappings(join(r2, r1))
 
-    @given(mapping_sets, mapping_sets, mapping_sets)
+    @given(slot_sets, slot_sets, slot_sets)
     def test_associative(self, o1, o2, o3):
-        assert join(join(o1, o2), o3) == join(o1, join(o2, o3))
+        (_, r1), (_, r2), (_, r3) = o1, o2, o3
+        assert to_mappings(join(join(r1, r2), r3)) == to_mappings(join(r1, join(r2, r3)))
 
-    @given(mapping_sets)
-    def test_unit_is_the_empty_mapping(self, omega):
-        assert join(omega, ms(EMPTY_MAPPING)) == omega
+    @given(slot_sets)
+    def test_unit_is_the_empty_mapping(self, operand):
+        omega, rows = operand
+        assert to_mappings(join(rows, Rows((), {()}))) == omega
 
-    @given(mapping_sets)
-    def test_zero_is_the_empty_set(self, omega):
-        assert join(omega, frozenset()) == frozenset()
+    @given(slot_sets)
+    def test_zero_is_the_empty_set(self, operand):
+        _, rows = operand
+        assert to_mappings(join(rows, Rows((), frozenset()))) == frozenset()
 
     @given(mappings, mappings)
     def test_merge_extends_both_when_compatible(self, w1, w2):
         if compatible(w1, w2):
-            merged = merge(w1, w2)
+            merged = reference.merge(w1, w2)
             assert extends(w1, merged) and extends(w2, merged)
 
 
 class TestHashAlgebra:
+    """graph.join and diff, on slot rows over just the variables the rows
+    bind, against the nested-loop definitions."""
+
     @given(operand_pairs())
     def test_join_matches_the_nested_loop(self, operands):
-        assert join(*operands) == nested_loop_join(*operands)
+        omega1, omega2 = operands
+        out = join(_slot_rows(omega1), _slot_rows(omega2))
+        assert to_mappings(out) == reference.nested_loop_join(omega1, omega2)
 
     @given(operand_pairs())
     def test_diff_matches_the_nested_loop(self, operands):
-        assert diff(*operands) == nested_loop_diff(*operands)
+        omega1, omega2 = operands
+        out = diff(_slot_rows(omega1), _slot_rows(omega2))
+        assert to_mappings(out) == reference.nested_loop_diff(omega1, omega2)
 
     @given(mapping_sets, mapping_sets)
     def test_arbitrary_domains_match_the_nested_loop(self, o1, o2):
-        assert join(o1, o2) == nested_loop_join(o1, o2)
-        assert diff(o1, o2) == nested_loop_diff(o1, o2)
+        rows1, rows2 = _slot_rows(o1), _slot_rows(o2)
+        assert to_mappings(join(rows1, rows2)) == reference.nested_loop_join(o1, o2)
+        assert to_mappings(diff(rows1, rows2)) == reference.nested_loop_diff(o1, o2)
 
     def test_join_checks_only_rows_with_equal_keys(self, monkeypatch):
+        """x, which every row binds, is the key; y, which some rows leave
+        unbound, is checked pair by pair within a bucket."""
         calls = []
-        check = mappings_module.compatible
+        check = graph_module._compatible
 
-        def counting(w1, w2):
+        def counting(l, r, loose):
             calls.append(None)
-            return check(w1, w2)
+            return check(l, r, loose)
 
-        monkeypatch.setattr(mappings_module, "compatible", counting)
-        left = frozenset(m(x=f"c{i}", y=f"a{i}") for i in range(2000))
-        right = frozenset(m(x=f"c{i + 1000}", z=f"b{i}") for i in range(2000))
+        monkeypatch.setattr(graph_module, "_compatible", counting)
+        left = Rows(("x", "y"), {(f"c{i}", f"a{i}" if i % 2 else None) for i in range(2000)})
+        right = Rows(
+            ("x", "y", "z"),
+            {(f"c{i + 1000}", f"a{i + 1000}" if i % 3 else None, f"b{i}") for i in range(2000)},
+        )
         out = join(left, right)
         assert len(out) == 1000
         assert len(calls) <= len(left) + len(out)
-
-
-def _slot_rows(omega, extra):
-    """Ω as slot rows over the variables its rows bind and those in extra."""
-    names = tuple(sorted({v.name for w in omega for v in w.domain} | {v.name for v in extra}))
-    named = [{v.name: t.name for v, t in w.bindings} for w in omega]
-    rows = {tuple(d.get(n) for n in names) for d in named}
-    return graph_module.Rows(names, rows)
 
 
 @st.composite
@@ -170,74 +179,84 @@ def slot_operand_pairs(draw):
 
 
 class TestSlotRows:
-    """graph.join/diff/union on slot rows against the mapping-level
-    operators, which define them."""
+    """graph.join, diff, union and project against their definitions."""
 
     @given(slot_operand_pairs())
     def test_join_matches_mappings(self, operands):
         omega1, omega2, rows1, rows2 = operands
-        assert graph_module.to_mappings(graph_module.join(rows1, rows2)) == join(omega1, omega2)
+        assert to_mappings(join(rows1, rows2)) == reference.nested_loop_join(omega1, omega2)
 
     @given(slot_operand_pairs())
     def test_diff_matches_mappings(self, operands):
         omega1, omega2, rows1, rows2 = operands
-        assert graph_module.to_mappings(graph_module.diff(rows1, rows2)) == diff(omega1, omega2)
+        assert to_mappings(diff(rows1, rows2)) == reference.nested_loop_diff(omega1, omega2)
 
     @given(slot_operand_pairs())
     def test_union_matches_mappings(self, operands):
         omega1, omega2, rows1, rows2 = operands
-        assert graph_module.to_mappings(graph_module.union(rows1, rows2)) == omega1 | omega2
+        assert to_mappings(union(rows1, rows2)) == omega1 | omega2
 
     @given(slot_operand_pairs(), var_sets)
     def test_project_matches_mappings(self, operands, xs):
         omega1, _, rows1, _ = operands
-        projected = graph_module.project(rows1, (v.name for v in xs))
-        assert graph_module.to_mappings(projected) == project(omega1, xs)
+        assert to_mappings(project(rows1, _names(xs))) == reference.project(omega1, xs)
 
-    @given(mapping_sets, mapping_sets, var_sets, var_sets)
-    def test_arbitrary_domains_match_mappings(self, o1, o2, x1, x2):
-        rows1, rows2 = _slot_rows(o1, x1), _slot_rows(o2, x2)
-        assert graph_module.to_mappings(graph_module.join(rows1, rows2)) == join(o1, o2)
-        assert graph_module.to_mappings(graph_module.diff(rows1, rows2)) == diff(o1, o2)
+    @given(slot_sets, slot_sets)
+    def test_arbitrary_domains_match_mappings(self, o1, o2):
+        (omega1, rows1), (omega2, rows2) = o1, o2
+        assert to_mappings(join(rows1, rows2)) == reference.nested_loop_join(omega1, omega2)
+        assert to_mappings(diff(rows1, rows2)) == reference.nested_loop_diff(omega1, omega2)
 
 
 class TestDiffAndProject:
-    @given(mapping_sets, mapping_sets)
+    @given(slot_sets, slot_sets)
     def test_diff_keeps_only_incompatible_rows(self, o1, o2):
-        for w in diff(o1, o2):
-            assert not any(compatible(w, w2) for w2 in o2)
+        (_, r1), (omega2, r2) = o1, o2
+        for w in to_mappings(diff(r1, r2)):
+            assert not any(compatible(w, w2) for w2 in omega2)
 
-    @given(mapping_sets, var_sets, var_sets)
-    def test_projection_composes_by_intersection(self, omega, xs, ys):
-        assert project(project(omega, xs), ys) == project(omega, xs & ys)
+    @given(slot_sets, var_sets, var_sets)
+    def test_projection_composes_by_intersection(self, operand, xs, ys):
+        _, rows = operand
+        twice = project(project(rows, _names(xs)), _names(ys))
+        assert to_mappings(twice) == to_mappings(project(rows, _names(xs & ys)))
 
     def test_opt_shape_example(self):
-        left = ms(m(x="a"), m(x="b"))
-        right = ms(m(x="a", y="c"))
-        assert join(left, right) | diff(left, right) == ms(
+        left = _slot_rows(ms(m(x="a"), m(x="b")))
+        right = _slot_rows(ms(m(x="a", y="c")))
+        assert to_mappings(union(join(left, right), diff(left, right))) == ms(
             m(x="a", y="c"), m(x="b")
         )
 
 
 class TestDomainRestrictions:
-    @given(mapping_sets, term_sets)
-    def test_filter_is_a_subset_selection(self, omega, bs):
-        out = restrict_filter(omega, bs)
+    @given(slot_sets, term_sets)
+    def test_filter_is_a_subset_selection(self, operand, bs):
+        omega, rows = operand
+        out = to_mappings(restrict_filter(rows, _names(bs)))
         assert out <= omega
-        assert all(w.range <= bs for w in out)
+        assert all(t in bs for w in out for _, t in w.bindings)
 
-    @given(mapping_sets, term_sets)
-    def test_filtered_rows_survive_projection_variant(self, omega, bs):
-        assert restrict_filter(omega, bs) <= restrict_project(omega, bs)
+    @given(slot_sets, term_sets)
+    def test_filtered_rows_survive_projection_variant(self, operand, bs):
+        _, rows = operand
+        filtered = to_mappings(restrict_filter(rows, _names(bs)))
+        assert filtered <= to_mappings(restrict_project(rows, _names(bs)))
 
-    @given(mapping_sets, term_sets)
-    def test_both_restrictions_are_idempotent(self, omega, bs):
-        assert restrict_filter(restrict_filter(omega, bs), bs) == restrict_filter(
-            omega, bs
-        )
-        assert restrict_project(
-            restrict_project(omega, bs), bs
-        ) == restrict_project(omega, bs)
+    @given(slot_sets, term_sets)
+    def test_both_restrictions_are_idempotent(self, operand, bs):
+        _, rows = operand
+        b = _names(bs)
+        for restrict in (restrict_filter, restrict_project):
+            once = restrict(rows, b)
+            assert to_mappings(restrict(once, b)) == to_mappings(once)
+
+    @given(slot_sets, term_sets)
+    def test_both_restrictions_match_the_reference(self, operand, bs):
+        omega, rows = operand
+        b = _names(bs)
+        assert to_mappings(restrict_filter(rows, b)) == reference.restrict_filter(omega, bs)
+        assert to_mappings(restrict_project(rows, b)) == reference.restrict_project(omega, bs)
 
 
 class TestExtensionOrder:
@@ -270,25 +289,34 @@ class TestExtensionOrder:
 
 
 class TestOtimes:
-    @given(mapping_sets, families)
-    def test_result_domains_come_from_the_family(self, omega, family):
-        for w in otimes(omega, family):
+    @given(slot_sets, families)
+    def test_result_domains_come_from_the_family(self, operand, family):
+        _, rows = operand
+        for w in to_mappings(otimes(rows, family)):
             assert w.domain in family
 
-    @given(mapping_sets, families)
-    def test_each_result_restricts_some_input(self, omega, family):
-        for w in otimes(omega, family):
+    @given(slot_sets, families)
+    def test_each_result_restricts_some_input(self, operand, family):
+        omega, rows = operand
+        for w in to_mappings(otimes(rows, family)):
             assert any(extends(w, w2) for w2 in omega)
 
     def test_keeps_every_maximal_subset(self):
         family = frozenset({V("x"), V("y")})
-        assert otimes(ms(m(x="a", y="b")), family) == ms(m(x="a"), m(y="b"))
+        rows = _slot_rows(ms(m(x="a", y="b")))
+        assert to_mappings(otimes(rows, family)) == ms(m(x="a"), m(y="b"))
 
-    @given(mapping_sets)
-    def test_full_domain_family_is_identity(self, omega):
+    @given(slot_sets)
+    def test_full_domain_family_is_identity(self, operand):
+        omega, rows = operand
         family = frozenset(w.domain for w in omega)
         if family:
-            assert otimes(omega, family) == omega
+            assert to_mappings(otimes(rows, family)) == omega
+
+    @given(slot_sets, families)
+    def test_matches_the_reference(self, operand, family):
+        omega, rows = operand
+        assert to_mappings(otimes(rows, family)) == reference.otimes(omega, family)
 
 
 def test_sort_mappings_is_deterministic():

@@ -13,7 +13,6 @@ from sparqlkb.errors import QueryShapeError
 from sparqlkb.graph import sparql_ans_branch
 from sparqlkb.harness import SizeParams, generate_instances
 from sparqlkb.kb import Var, active_domain, parse_kb
-from sparqlkb.mappings import otimes, restrict_project
 from sparqlkb.query import (
     JoinQ,
     OptQ,
@@ -153,8 +152,8 @@ def m_can_ans_reference(q, kb):
     adom = active_domain(kb)
     out = set()
     for qb in branch(q):
-        restricted = restrict_project(sparql_ans_branch(q, g, qb), adom)
-        out.update(otimes(restricted, adm(qb)))
+        restricted = reference.restrict_project(sparql_ans_branch(q, g, qb), adom)
+        out.update(reference.otimes(restricted, adm(qb)))
     return frozenset(out)
 
 
