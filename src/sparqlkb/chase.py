@@ -7,7 +7,9 @@ a trailing ``-`` on a path segment marks an inverse-role step.
 
 The chase is type-based: a named individual's type comes from the saturated
 ABox, and a witness created through role r has the type closure(∃r⁻), since
-its only edges are r and r's super-roles from its parent.
+its only edges are r and r's super-roles from its parent.  `_model` derives
+the entailed ABox, these types and the consistency verdict once per KB; the
+chase, witness counts, satisfiability and the entailed ABox all read it.
 """
 
 from __future__ import annotations
@@ -139,12 +141,12 @@ class ChaseGraph:
 
 
 class _Type(NamedTuple):
-    """What an element is entailed to be: its basic concepts, the names of
-    its atomic ones, and the roles it must fire."""
+    """What an element is entailed to be: the names of its atomic concepts,
+    the roles it must fire, and whether it holds two disjoint concepts."""
 
-    entailed: frozenset[BasicConcept]
     atomic: tuple[str, ...]
     fire: tuple[RoleExpr, ...]
+    clash: bool
 
 
 def _type(satisfied: set[BasicConcept], sat: SaturatedTBox) -> _Type:
@@ -170,13 +172,8 @@ def _type(satisfied: set[BasicConcept], sat: SaturatedTBox) -> _Type:
         )
     )
     atomic = tuple(sorted(b.name for b in entailed if b.kind == "atomic"))
-    return _Type(frozenset(entailed), atomic, fire)
-
-
-def _witness_type(r: RoleExpr, sat: SaturatedTBox) -> _Type:
-    """The type of a witness created through r: its edge from its parent
-    is saturated to every super-role of r."""
-    return _type({exists(s.inverted()) for s in sat.super_roles(r)}, sat)
+    clash = any(b1 in entailed and b2 in entailed for b1, b2 in sat.disjointness_closure)
+    return _Type(atomic, fire, clash)
 
 
 def _segment(r: RoleExpr) -> str:
@@ -184,15 +181,33 @@ def _segment(r: RoleExpr) -> str:
     return r.name + ("-" if r.inverse else "")
 
 
-def _saturated_abox(kb: KnowledgeBase, sat: SaturatedTBox) -> tuple[dict, dict[str, _Type]]:
-    """The entailed ABox as a per-predicate index of name tuples, and the
-    type of every named individual.
+class _Model(NamedTuple):
+    """The canonical model of a KB as a finite type graph.  Every reader
+    shares `index`, so a reader that extends it extends a copy."""
+
+    sat: SaturatedTBox
+    index: dict[str, set[tuple[str, ...]]]  # the entailed ABox, by predicate
+    types: dict[str, _Type]  # named individual -> its type
+    witness: dict[RoleExpr, _Type]  # r -> the type of a witness created through r
+    consistent: bool  # no type holds a disjoint pair
+
+
+# Small caches, here and on `chase`: a request rarely reuses another's KB,
+# and every entry keeps a whole model alive, which lengthens full garbage
+# collections.
+@lru_cache(maxsize=8)
+def _model(kb: KnowledgeBase) -> _Model:
+    """Everything the chase and satisfiability read, derived once per KB.
 
     An individual's satisfied concepts come from its facts: its unary
     predicates, and ∃s for every super-role s of the role of each of its
     edges (which role saturation materializes).  Individuals with the same
-    facts' predicates share one type.
+    facts' predicates share one type.  A witness created through r has the
+    type closure(∃r⁻), since its edge from its parent is saturated to every
+    super-role of r; `witness` holds it for every role reachable from the
+    named types through fired roles.
     """
+    sat = saturate(kb.tbox)
     facts = kb.encoded.facts
     index: dict[str, set[tuple[str, ...]]] = {p: set(rows) for p, rows in facts.items()}
     signature: dict[str, set] = {t: set() for t in kb.encoded.adom}
@@ -228,25 +243,40 @@ def _saturated_abox(kb: KnowledgeBase, sat: SaturatedTBox) -> tuple[dict, dict[s
     for t, key in signature.items():
         groups.setdefault(frozenset(key), []).append(t)
     types: dict[str, _Type] = {}
+    reached = []
     for key, members in groups.items():
         typ = _type(satisfied(key), sat)
+        reached.append(typ)
         types.update(dict.fromkeys(members, typ))
         for a in typ.atomic:
             index.setdefault(a, set()).update(zip(members))
-    return index, types
+
+    witness: dict[RoleExpr, _Type] = {}
+    pending = [r for typ in reached for r in typ.fire]
+    while pending:
+        r = pending.pop()
+        if r not in witness:
+            witness[r] = wtype = _type({exists(s.inverted()) for s in sat.super_roles(r)}, sat)
+            reached.append(wtype)
+            pending.extend(wtype.fire)
+    return _Model(sat, index, types, witness, not any(typ.clash for typ in reached))
 
 
 def _build_chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
-    sat = saturate(kb.tbox)
-    index, types = _checked_abox(kb, sat)
+    model = _model(kb)
+    if not model.consistent:
+        raise UnsatisfiableKbError("knowledge base is unsatisfiable")
+    sat = model.sat
+    index = {p: set(rows) for p, rows in model.index.items()}
     # per role fired: its path segment, the (edge set, inverse) pairs of
     # its super-roles, the concept sets of its atomic concepts, and the
-    # roles its witness fires
+    # roles its witness fires.  A plan is made when its role first fires,
+    # so that every predicate it adds to the index gets an atom.
     plans: dict[RoleExpr, tuple] = {}
 
     def plan(r: RoleExpr) -> tuple:
         if r not in plans:
-            wtype = _witness_type(r, sat)
+            wtype = model.witness[r]
             plans[r] = (
                 "|" + _segment(r),
                 [(index.setdefault(s.name, set()), s.inverse) for s in sat.super_roles(r)],
@@ -257,7 +287,7 @@ def _build_chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
 
     depth_of: dict[str, int] = {}
     queue: deque[tuple[str, int, tuple[RoleExpr, ...]]] = deque(
-        (t, 0, typ.fire) for t, typ in sorted(types.items()) if typ.fire
+        (t, 0, typ.fire) for t, typ in sorted(model.types.items()) if typ.fire
     )
     while queue:
         parent, depth, fire = queue.popleft()
@@ -276,8 +306,6 @@ def _build_chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     return ChaseGraph(Graph.of_index(index), tuple(sorted(depth_of.items())), bound)
 
 
-# Small caches: a request rarely reuses another's KB, and every entry keeps
-# a whole model alive, which lengthens full garbage collections.
 @lru_cache(maxsize=8)
 def chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     """Restricted chase up to the given witness depth; rejects unsat KBs."""
@@ -289,21 +317,17 @@ def witness_count(kb: KnowledgeBase, bound: int) -> int:
     types without building the chase.  A witness made through r, with d
     levels left to the bound, heads W(r, d) = 1 + Σ W(s, d − 1) witnesses,
     over the roles s its type fires, and W(r, 0) = 0."""
-    sat = saturate(kb.tbox)
-    fires: dict[RoleExpr, tuple[RoleExpr, ...]] = {}
+    model = _model(kb)
     counts: dict[tuple[RoleExpr, int], int] = {}
 
     def count(r: RoleExpr, d: int) -> int:
         if d <= 0:
             return 0
         if (r, d) not in counts:
-            if r not in fires:
-                fires[r] = _witness_type(r, sat).fire
-            counts[r, d] = 1 + sum(count(s, d - 1) for s in fires[r])
+            counts[r, d] = 1 + sum(count(s, d - 1) for s in model.witness[r].fire)
         return counts[r, d]
 
-    types = _saturated_abox(kb, sat)[1]
-    return sum(count(r, bound) for typ in types.values() for r in typ.fire)
+    return sum(count(r, bound) for typ in model.types.values() for r in typ.fire)
 
 
 def model_bound(kb: KnowledgeBase) -> int:
@@ -318,49 +342,15 @@ def default_bound(kb: KnowledgeBase, q: Query) -> int:
     return model_bound(kb) + triple_pattern_count(q)
 
 
-@lru_cache(maxsize=8)
 def is_satisfiable(kb: KnowledgeBase) -> bool:
     """No element of the canonical model may have a type holding two
     concepts declared disjoint."""
-    sat = saturate(kb.tbox)
-    if not sat.disjointness_closure:
-        return True
-    return _consistent(_saturated_abox(kb, sat)[1], sat)
+    return _model(kb).consistent
 
 
-def _consistent(types: dict[str, _Type], sat: SaturatedTBox) -> bool:
-    """Whether no type of the canonical model holds a disjoint pair.  Its
-    types are the named individuals' `types` and closure(∃r⁻) for every
-    role r reachable from them through fired roles."""
-    if not sat.disjointness_closure:
-        return True
-    distinct = {id(typ): typ for typ in types.values()}.values()
-    entailed_types = {typ.entailed for typ in distinct}
-    pending = [r for typ in distinct for r in typ.fire]
-    reached: set[RoleExpr] = set()
-    while pending:
-        r = pending.pop()
-        if r not in reached:
-            reached.add(r)
-            wtype = _witness_type(r, sat)
-            entailed_types.add(wtype.entailed)
-            pending.extend(wtype.fire)
-    return not any(
-        b1 in entailed and b2 in entailed
-        for entailed in entailed_types
-        for (b1, b2) in sat.disjointness_closure
-    )
-
-
-def _checked_abox(kb: KnowledgeBase, sat: SaturatedTBox):
-    """`_saturated_abox(kb, sat)`, raising if the KB is unsatisfiable."""
-    index, types = _saturated_abox(kb, sat)
-    if not _consistent(types, sat):
-        raise UnsatisfiableKbError("knowledge base is unsatisfiable")
-    return index, types
-
-
-@lru_cache(maxsize=8)
 def entailed_abox(kb: KnowledgeBase) -> Graph:
     """All atoms over the active domain entailed by the KB."""
-    return Graph.of_index(_checked_abox(kb, saturate(kb.tbox))[0])
+    model = _model(kb)
+    if not model.consistent:
+        raise UnsatisfiableKbError("knowledge base is unsatisfiable")
+    return Graph.of_index(model.index)

@@ -17,7 +17,7 @@ from sparqlkb.chase import (
     saturate,
     witness_count,
 )
-from sparqlkb.errors import UnsatisfiableKbError
+from sparqlkb.errors import QueryShapeError, UnsatisfiableKbError
 from sparqlkb.harness import SizeParams, generate_instances
 from sparqlkb.kb import (
     Atom,
@@ -33,7 +33,7 @@ from sparqlkb.kb import (
     parse_kb,
 )
 from sparqlkb.query import parse_query
-from sparqlkb.semantics import m_can_ans
+from sparqlkb.semantics import SEMANTICS, m_can_ans
 
 
 class TestSaturate:
@@ -226,7 +226,7 @@ class TestChase:
 
         monkeypatch.setattr(chase_module, "_build_chase", counting_build)
         chase.cache_clear()
-        is_satisfiable.cache_clear()
+        chase_module._model.cache_clear()
         kb = parse_kb(
             "TBOX: A [= exists r . exists inv(r) [= B . B [= not C . ABOX: A(a) ."
         )
@@ -235,6 +235,36 @@ class TestChase:
         builds.clear()
         assert not is_satisfiable(parse_kb("TBOX: A [= not B . ABOX: A(c) . B(c) ."))
         assert builds == []
+
+    def test_one_model_per_kb(self, monkeypatch):
+        """Satisfiability, witness counts, chases and the entailed ABox of a
+        KB read one model: its types are derived once, and no chase extends
+        the entailed ABox that the model holds."""
+        derived = []
+        derive = chase_module._type
+        monkeypatch.setattr(
+            chase_module, "_type", lambda *args: derived.append(args) or derive(*args)
+        )
+        chase.cache_clear()
+        chase_module._model.cache_clear()
+        kb = parse_kb(
+            "TBOX: A [= exists r . exists inv(r) [= A . A [= not C . ABOX: A(a) . C(b) ."
+        )
+        assert is_satisfiable(kb)
+        types = len(derived)
+        assert (witness_count(kb, 2), witness_count(kb, 4)) == (2, 4)
+        assert (len(chase(kb, 2).depth_of), len(chase(kb, 4).depth_of)) == (2, 4)
+        assert sorted(str(a) for a in entailed_abox(kb)) == ["A(a)", "C(b)"]
+        assert len(derived) == types
+        assert chase_module._model.cache_info().misses == 1
+
+    def test_no_predicate_maps_to_an_empty_set(self):
+        """Graph.of_index's precondition: a chase adds a predicate to its
+        index only with an atom."""
+        for kb, q in islice(generate_instances(7, SizeParams()), 300):
+            for depth in (0, 1, default_bound(kb, q)):
+                index = chase(kb, depth).graph.index
+                assert [p for p, rows in index.items() if not rows] == [], depth
 
     def test_determinism(self):
         kb = load_kb("ex7.kb")
@@ -257,6 +287,53 @@ class TestWitnessCount:
         for kb, q in islice(generate_instances(seed, SizeParams()), 200):
             for d in range(default_bound(kb, q) + 1):
                 assert witness_count(kb, d) == len(chase(kb, d).depth_of), (seed, d)
+
+
+class TestDepthStability:
+    """Answers at the default bound equal those at twice it: a check well
+    beyond the acceptance suite's bound + 3."""
+
+    @staticmethod
+    def _answers(name, q, kb, depth):
+        try:
+            return SEMANTICS[name](q, kb, depth)
+        except QueryShapeError:
+            return None
+
+    def _assert_stable(self, q, kb, deep):
+        for name in ("certain-ucq", "regime", "canonical", "restricted", "mcan"):
+            assert self._answers(name, q, kb, None) == self._answers(name, q, kb, deep), (
+                name, str(q))
+
+    @pytest.mark.parametrize("seed, skipped", [(7, 1), (606, 0)])
+    def test_generated_instances(self, seed, skipped):
+        """Instances whose chase at twice the bound exceeds 20,000
+        witnesses are skipped, and counted."""
+        skips = 0
+        for kb, q in islice(generate_instances(seed, SizeParams()), 300):
+            deep = 2 * default_bound(kb, q)
+            if witness_count(kb, deep) > 20_000:
+                skips += 1
+            else:
+                self._assert_stable(q, kb, deep)
+        assert skips == skipped
+
+    @pytest.mark.parametrize("query", [
+        "SELECT{x}( JOIN( A(?x), r(?x, ?y) ) )",
+        "OPT( A(?x), JOIN( r(?x, ?y), s(?y, ?z) ) )",
+        "SELECT{x}( JOIN( r(?x, ?y), JOIN( s(?y, ?z), JOIN( r(?z, ?w), D(?z) ) ) ) )",
+        "UNION( JOIN( r(?x, ?y), C(?y) ), OPT( r(?x, ?y), t(?y, ?z) ) )",
+    ])
+    def test_a_tbox_whose_chase_branches(self, query):
+        """The TBox of the benchmark's branching-chase workload, whose chase
+        doubles every two levels, over one A individual."""
+        kb = parse_kb(
+            "TBOX: A [= exists r . exists inv(r) [= exists s . exists inv(r) [= exists t ."
+            " exists inv(s) [= exists r . exists inv(t) [= exists r . exists inv(s) [= C ."
+            " C [= D . A [= not B . ABOX: A(a) ."
+        )
+        q = parse_query(query)
+        self._assert_stable(q, kb, 2 * default_bound(kb, q))
 
 
 class TestDefaultBound:
