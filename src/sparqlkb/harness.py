@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 from .chase import default_bound, is_satisfiable, witness_count
@@ -37,7 +38,7 @@ from .query import (
     query_vars,
     serialize_query,
 )
-from .semantics import SEMANTICS, cert_ans_ucq, is_ucq_shape, plain_ans
+from .semantics import SEMANTICS, is_ucq_shape
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,11 @@ class CheckReport:
         }
 
 
+@lru_cache(maxsize=32)
 def _try_semantics(name: str, q: Query, kb: KnowledgeBase) -> MappingSet | None:
+    """SEMANTICS[name](q, kb), or None where it rejects q's shape.  Each
+    semantics is a pure function of (q, kb), so an instance's checks share its
+    answers on q, q.left and q.right; any other error is raised, not cached."""
     try:
         return SEMANTICS[name](q, kb)
     except QueryShapeError:
@@ -91,12 +96,12 @@ def check_requirement(
     if req_id == 1:
         if not is_ucq_shape(q):
             return report("not-applicable")
-        return compare(cert_ans_ucq(q, kb))
+        return compare(_try_semantics("certain-ucq", q, kb))
 
     if req_id == 2:
         if kb.tbox:
             return report("not-applicable")
-        return compare(plain_ans(q, kb))
+        return compare(_try_semantics("plain", q, kb))
 
     if req_id == 3:
         if not isinstance(q, OptQ):
@@ -129,11 +134,12 @@ def check_requirement(
     a2 = _try_semantics(semantics_name, q.right, kb)
     if a1 is None or a2 is None:
         return report("not-applicable")
+    adm_left, adm_right = adm(q.left), adm(q.right)
     bad = []
     for w in answers:
-        if w not in a2 and w.domain not in adm(q.left):
+        if w not in a2 and w.domain not in adm_left:
             bad.append(w)
-        if w not in a1 and w.domain not in adm(q.right):
+        if w not in a1 and w.domain not in adm_right:
             bad.append(w)
     bad_t = tuple(sorted(set(bad), key=lambda w: w.bindings))
     return report("pass") if not bad_t else report("fail", bad_t)

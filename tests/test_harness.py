@@ -1,15 +1,18 @@
 """Requirement checks, brute-force oracles, generator, and differential runs."""
 
 import hashlib
+from collections import Counter
 from itertools import islice
 
 import pytest
 
 from conftest import load_kb, load_query, m
-from sparqlkb.errors import SparqlKbError
+from sparqlkb import harness
+from sparqlkb.errors import SparqlKbError, UnsatisfiableKbError
 from sparqlkb.graph import Graph
 from sparqlkb.harness import (
     SizeParams,
+    _try_semantics,
     brute_force_adm,
     brute_force_cq_matches,
     check_requirement,
@@ -26,7 +29,7 @@ from sparqlkb.query import (
     parse_query,
     serialize_query,
 )
-from sparqlkb.semantics import is_ucq_shape
+from sparqlkb.semantics import SEMANTICS, is_ucq_shape
 
 X, Y = Var("x"), Var("y")
 
@@ -87,6 +90,76 @@ class TestCheckRequirement:
         assert d["verdict"] == "fail"
         assert d["instance"] == "ex7"
         assert d["counterexamples"] == [{"?x": "Alice", "?z": "Alice"}]
+
+
+@pytest.fixture
+def clear_memo():
+    _try_semantics.cache_clear()
+    yield
+    _try_semantics.cache_clear()
+
+
+@pytest.mark.usefixtures("clear_memo")
+class TestAnswerMemo:
+    """check_requirement evaluates each semantics once per (query, KB)."""
+
+    @pytest.mark.parametrize(
+        ("kb_text", "q_text"),
+        [
+            ("TBOX: ABOX: Person(Alice) . hasLicense(Bob, L1) .",
+             "OPT( Person(?x), hasLicense(?x, ?y) )"),
+            ("TBOX: Driver [= exists hasLicense . ABOX: Driver(Alice) .",
+             "UNION( SELECT{x}( hasLicense(?x, ?y) ), Driver(?x) )"),
+        ],
+    )
+    def test_each_semantics_runs_once_per_query(self, monkeypatch, kb_text, q_text):
+        kb, q = parse_kb(kb_text), parse_query(q_text)
+        calls = Counter()
+
+        def counting(name, fn):
+            def run(query, kb):
+                calls[name, query] += 1
+                return fn(query, kb)
+
+            return run
+
+        for name, fn in list(SEMANTICS.items()):
+            monkeypatch.setitem(SEMANTICS, name, counting(name, fn))
+        for name in SEMANTICS:
+            for req_id in range(1, 6):
+                check_requirement(req_id, name, q, kb)
+        assert {query for _, query in calls} <= {q, q.left, q.right}
+        assert all(calls[name, q] == 1 for name in SEMANTICS), calls
+        assert max(calls.values()) == 1, calls
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_reports_equal_uncached_reports(self, monkeypatch, seed):
+        """A report equals the one computed from an emptied memo, and the one
+        computed with no memo at all."""
+        checks = [(r, name) for name in SEMANTICS for r in range(1, 6)]
+        for kb, q in islice(generate_instances(seed, SizeParams()), 150):
+            memoized = [check_requirement(r, name, q, kb).to_dict() for r, name in checks]
+            fresh = []
+            for r, name in checks:
+                _try_semantics.cache_clear()
+                fresh.append(check_requirement(r, name, q, kb).to_dict())
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_try_semantics", _try_semantics.__wrapped__)
+                plain = [check_requirement(r, name, q, kb).to_dict() for r, name in checks]
+            assert memoized == fresh == plain, describe_instance(kb, q)
+
+    @pytest.mark.parametrize(("req_id", "name"), [(1, "plain"), (3, "mcan"), (4, "regime")])
+    def test_unsatisfiable_kb_raises_every_time(self, req_id, name):
+        kb = parse_kb("TBOX: A [= not B . ABOX: A(c) . B(c) .")
+        q = parse_query("A(?x)")
+        for _ in range(2):
+            with pytest.raises(UnsatisfiableKbError):
+                check_requirement(req_id, name, q, kb)
+
+    def test_certain_ucq_is_not_applicable_to_opt(self):
+        kb, q = load_kb("ex1.kb"), load_query("ex6.sq")
+        verdicts = {check_requirement(r, "certain-ucq", q, kb).verdict for r in range(1, 6)}
+        assert verdicts == {"not-applicable"}
 
 
 class TestBruteForceAdm:
