@@ -10,14 +10,17 @@ ABox, and a witness created through role r has the type closure(∃r⁻), since
 its only edges are r and r's super-roles from its parent.  `_model` derives
 the entailed ABox, these types and the consistency verdict once per KB; the
 chase, witness counts, satisfiability and the entailed ABox all read it.
+A chase is read on demand: query evaluation walks the type graph from the
+elements a pattern is keyed to, and the chase is unfolded to its bound only
+when it is read whole.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple
 
 from .errors import UnsatisfiableKbError
 from .graph import Graph
@@ -133,13 +136,6 @@ def saturate(tbox: frozenset) -> SaturatedTBox:
     )
 
 
-@dataclass(frozen=True)
-class ChaseGraph:
-    graph: Graph
-    depth_of: tuple[tuple[str, int], ...]  # anonymous term name -> depth
-    bound: int
-
-
 class _Type(NamedTuple):
     """What an element is entailed to be: the names of its atomic concepts,
     the roles it must fire, and whether it holds two disjoint concepts."""
@@ -190,6 +186,22 @@ class _Model(NamedTuple):
     types: dict[str, _Type]  # named individual -> its type
     witness: dict[RoleExpr, _Type]  # r -> the type of a witness created through r
     consistent: bool  # no type holds a disjoint pair
+    roles: dict[str, RoleExpr]  # a witness's last path segment -> its creating role
+    # p -> for each argument position, the roles r such that a witness
+    # created through r has a p-edge with its parent at that position
+    parent_at: dict[str, tuple[set[RoleExpr], set[RoleExpr]]]
+    marked: dict[str, set[RoleExpr]]  # p -> the roles whose witness has concept p
+    args: dict[tuple[str, int], dict]  # `by_arg`'s lookups, each built on first use
+
+    def by_arg(self, p: str, pos: int) -> dict[str, list[tuple[str, ...]]]:
+        """The entailed ABox's atoms of p, by their argument at pos."""
+        if (p, pos) not in self.args:
+            found: dict[str, list[tuple[str, ...]]] = {}
+            for args in self.index.get(p, ()):
+                if pos < len(args):
+                    found.setdefault(args[pos], []).append(args)
+            self.args[p, pos] = found
+        return self.args[p, pos]
 
 
 # Small caches, here and on `chase`: a request rarely reuses another's KB,
@@ -259,51 +271,136 @@ def _model(kb: KnowledgeBase) -> _Model:
             witness[r] = wtype = _type({exists(s.inverted()) for s in sat.super_roles(r)}, sat)
             reached.append(wtype)
             pending.extend(wtype.fire)
-    return _Model(sat, index, types, witness, not any(typ.clash for typ in reached))
+    parent_at: dict[str, tuple[set[RoleExpr], set[RoleExpr]]] = {}
+    marked: dict[str, set[RoleExpr]] = {}
+    for r, wtype in witness.items():
+        for s in sat.super_roles(r):
+            parent_at.setdefault(s.name, (set(), set()))[s.inverse].add(r)
+        for a in wtype.atomic:
+            marked.setdefault(a, set()).add(r)
+    consistent = not any(typ.clash for typ in reached)
+    roles = {_segment(r): r for r in witness}
+    return _Model(sat, index, types, witness, consistent, roles, parent_at, marked, {})
+
+
+@dataclass(frozen=True, eq=False)
+class ChaseGraph:
+    """The restricted chase of a KB up to a witness depth, read on demand.
+
+    Its atoms over named individuals are the model's entailed ABox.  Each
+    witness adds its edge from its parent, saturated to every super-role of
+    its creating role, and the atomic concepts of its type.  `graph` and
+    `depth_of` materialize the chase on first read.  `rows` and `match`
+    answer from the type graph, and materialize it only for the rows of a
+    predicate that witness atoms carry.
+    """
+
+    model: _Model = field(repr=False)
+    bound: int
+
+    @cached_property
+    def _unfolded(self) -> tuple[dict[str, set[tuple[str, ...]]], dict[str, int]]:
+        """The chase's index and each witness's depth: the witness types
+        unfolded breadth-first from the named individuals to the bound."""
+        model, bound = self.model, self.bound
+        sat = model.sat
+        index = {p: set(rows) for p, rows in model.index.items()}
+        # per role fired: its path segment, the (edge set, inverse) pairs of
+        # its super-roles, the concept sets of its atomic concepts, and the
+        # roles its witness fires.  A plan is made when its role first fires,
+        # so that every predicate it adds to the index gets an atom.
+        plans: dict[RoleExpr, tuple] = {}
+
+        def plan(r: RoleExpr) -> tuple:
+            if r not in plans:
+                wtype = model.witness[r]
+                plans[r] = (
+                    "|" + _segment(r),
+                    [(index.setdefault(s.name, set()), s.inverse) for s in sat.super_roles(r)],
+                    [index.setdefault(a, set()) for a in wtype.atomic],
+                    wtype.fire,
+                )
+            return plans[r]
+
+        depth_of: dict[str, int] = {}
+        queue: deque[tuple[str, int, tuple[RoleExpr, ...]]] = deque(
+            (t, 0, typ.fire) for t, typ in sorted(model.types.items()) if typ.fire
+        )
+        while queue:
+            parent, depth, fire = queue.popleft()
+            if depth >= bound:
+                continue
+            prefix = parent if parent.startswith("_:") else "_:" + parent
+            for r in fire:
+                segment, edges, concepts, witness_fire = plan(r)
+                witness = prefix + segment
+                depth_of[witness] = depth + 1
+                for edge_set, inverse in edges:
+                    edge_set.add((witness, parent) if inverse else (parent, witness))
+                for concept_set in concepts:
+                    concept_set.add((witness,))
+                queue.append((witness, depth + 1, witness_fire))
+        return index, depth_of
+
+    @cached_property
+    def graph(self) -> Graph:
+        return Graph.of_index(self._unfolded[0])
+
+    @cached_property
+    def depth_of(self) -> tuple[tuple[str, int], ...]:
+        """Each witness's name and depth, sorted by name."""
+        return tuple(sorted(self._unfolded[1].items()))
+
+    def carries(self, p: str) -> bool:
+        """Whether a witness atom can have predicate p."""
+        return self.bound > 0 and (p in self.model.parent_at or p in self.model.marked)
+
+    def rows(self, p: str) -> Iterable[tuple[str, ...]]:
+        """The atoms of predicate p."""
+        return (self.graph.index if self.carries(p) else self.model.index).get(p, ())
+
+    def match(self, p: str, pos: int, values: Iterable[str]) -> list[tuple[str, ...]]:
+        """The atoms of p whose argument at pos is one of values, each an
+        element of this chase.  A walk of the type graph from each value:
+        a named one has its entailed ABox atoms and the edges to the
+        witnesses its type fires; a witness, whose creating role is its
+        last path segment and whose depth is its number of segments, has
+        its type's concepts, the edge to its parent, and below the bound
+        the edges to its children."""
+        model, bound = self.model, self.bound
+        named, marked = model.by_arg(p, pos), model.marked.get(p, ())
+        parent_at = model.parent_at.get(p, ((), ()))
+        outward, inward = parent_at[pos], parent_at[1 - pos]
+        found: list[tuple[str, ...]] = []
+        for v in values:
+            if v.startswith("_:"):
+                parent, _, segment = v.rpartition("|")
+                r = model.roles[segment]
+                if r in marked:
+                    found.append((v,))
+                if r in inward:
+                    if "|" not in parent:
+                        parent = parent[2:]
+                    found.append((v, parent) if pos == 0 else (parent, v))
+                fire = model.witness[r].fire if v.count("|") < bound else ()
+                prefix = v + "|"
+            else:
+                found.extend(named.get(v, ()))
+                typ = model.types.get(v)
+                fire = typ.fire if typ is not None and bound > 0 else ()
+                prefix = "_:" + v + "|"
+            for r in fire:
+                if r in outward:
+                    child = prefix + _segment(r)
+                    found.append((v, child) if pos == 0 else (child, v))
+        return found
 
 
 def _build_chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     model = _model(kb)
     if not model.consistent:
         raise UnsatisfiableKbError("knowledge base is unsatisfiable")
-    sat = model.sat
-    index = {p: set(rows) for p, rows in model.index.items()}
-    # per role fired: its path segment, the (edge set, inverse) pairs of
-    # its super-roles, the concept sets of its atomic concepts, and the
-    # roles its witness fires.  A plan is made when its role first fires,
-    # so that every predicate it adds to the index gets an atom.
-    plans: dict[RoleExpr, tuple] = {}
-
-    def plan(r: RoleExpr) -> tuple:
-        if r not in plans:
-            wtype = model.witness[r]
-            plans[r] = (
-                "|" + _segment(r),
-                [(index.setdefault(s.name, set()), s.inverse) for s in sat.super_roles(r)],
-                [index.setdefault(a, set()) for a in wtype.atomic],
-                wtype.fire,
-            )
-        return plans[r]
-
-    depth_of: dict[str, int] = {}
-    queue: deque[tuple[str, int, tuple[RoleExpr, ...]]] = deque(
-        (t, 0, typ.fire) for t, typ in sorted(model.types.items()) if typ.fire
-    )
-    while queue:
-        parent, depth, fire = queue.popleft()
-        if depth >= bound:
-            continue
-        prefix = parent if parent.startswith("_:") else "_:" + parent
-        for r in fire:
-            segment, edges, concepts, witness_fire = plan(r)
-            witness = prefix + segment
-            depth_of[witness] = depth + 1
-            for edge_set, inverse in edges:
-                edge_set.add((witness, parent) if inverse else (parent, witness))
-            for concept_set in concepts:
-                concept_set.add((witness,))
-            queue.append((witness, depth + 1, witness_fire))
-    return ChaseGraph(Graph.of_index(index), tuple(sorted(depth_of.items())), bound)
+    return ChaseGraph(model, bound)
 
 
 @lru_cache(maxsize=8)

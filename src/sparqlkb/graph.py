@@ -6,18 +6,37 @@ index of argument-name tuples, and an answer set is a set of slot rows over
 a sorted list of variable names, one slot per variable, None where it is
 unbound.  `Atom`, `Term` and `SolutionMapping` are built only where a public
 function returns.
+
+A query runs as a compiled plan over a source: an index, or a chase read
+on demand (`chase.ChaseGraph`), which a plan reads through key lookups.
+Keys K map some variables to sets of values, and r_K(Ω) keeps the rows of Ω
+that bind each keyed variable, if they bind it at all, to one of its
+values.  Every plan keeps the invariant r_K(ans(q)) ⊆ eval(q, K) ⊆ ans(q):
+- a triple pattern over a predicate that witnesses carry reads only the
+  atoms whose argument at one keyed variable is one of its values;
+- JOIN passes its right operand the values of each variable that every
+  left row binds, and its own keys for the other variables: a right row
+  that joins with a left row agrees with it there;
+- OPT passes its right operand the left's values only: a right row outside
+  an outer key can still be compatible with a left row that leaves that
+  variable unbound, and the anti-join must see it;
+- SELECT passes the keys of the variables it projects, UNION its own.
+The root has no keys, so it returns ans(q).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
 from .errors import QueryShapeError
 from .kb import Atom, Term, Var, term
 from .mappings import MappingSet, SolutionMapping
 from .query import JoinQ, OptQ, Query, TriplePattern, UnionQ, branch
+
+if TYPE_CHECKING:
+    from .chase import ChaseGraph
 
 Index = dict[str, "set[tuple[str, ...]] | frozenset[tuple[str, ...]]"]
 
@@ -221,73 +240,144 @@ def unbind(rows: Rows, keep: Iterable[str]) -> Rows:
     return Rows(rows.vars, {pick(row + (None,)) for row in rows.rows})
 
 
-Plan = Callable[[Index], Rows]
+# What a plan reads: an Index, or a chase read on demand, whose `rows(p)`
+# are the atoms of p, `match(p, pos, values)` the atoms of p whose argument
+# at pos is one of values, and `carries(p)` whether witnesses carry p.
+Source = Union[Index, "ChaseGraph"]
+# A key lookup (variable -> the values it is keyed to, or None), or None.
+Keys = Optional[Callable[[str], Optional[set]]]
+Plan = Callable[[Source, Keys], Rows]
 
 
-def _pattern_plan(tp: TriplePattern) -> Plan:
+class _PatternPlan:
     """The rows of a triple pattern: the atoms of its predicate and arity
-    that agree with its constants and repeated variables."""
-    n, predicate = len(tp.args), tp.predicate
-    consts = tuple((i, a.name) for i, a in enumerate(tp.args) if not isinstance(a, Var))
-    first: dict[str, int] = {}
-    repeats = []
-    for i, a in enumerate(tp.args):
-        if isinstance(a, Var):
-            if a.name in first:
-                repeats.append((first[a.name], i))
-            else:
-                first[a.name] = i
-    out = tuple(sorted(first))
-    if not consts and not repeats and out == tuple(a.name for a in tp.args):
-        return lambda index: Rows(out, {args for args in index.get(predicate, ()) if len(args) == n})
-    pick = _picker(tuple(first[v] for v in out))
-    return lambda index: Rows(
-        out,
-        {
-            pick(args)
-            for args in index.get(predicate, ())
-            if len(args) == n
-            and all(args[i] == c for i, c in consts)
-            and all(args[i] == args[j] for i, j in repeats)
-        },
-    )
+    that agree with its constants and repeated variables.  Over a chase, a
+    pattern over a predicate that witnesses carry reads only the atoms at
+    the values of its keyed variable with the fewest values.  (One object
+    per pattern: a cached plan's closures would each add garbage-collected
+    cells.)"""
+
+    __slots__ = ("predicate", "n", "out", "keyed", "consts", "repeats", "pick")
+
+    def __init__(self, tp: TriplePattern):
+        self.predicate, self.n = tp.predicate, len(tp.args)
+        self.consts = tuple((i, a.name) for i, a in enumerate(tp.args) if not isinstance(a, Var))
+        first: dict[str, int] = {}
+        repeats = []
+        for i, a in enumerate(tp.args):
+            if isinstance(a, Var):
+                if a.name in first:
+                    repeats.append((first[a.name], i))
+                else:
+                    first[a.name] = i
+        self.repeats = tuple(repeats)
+        self.out = tuple(sorted(first))
+        self.keyed = tuple((i, v) for v, i in first.items())
+        whole = not self.consts and not repeats and self.out == tuple(a.name for a in tp.args)
+        self.pick = None if whole else _picker(tuple(first[v] for v in self.out))
+
+    def anchor(self, keys: Callable[[str], set[str] | None]) -> tuple[int, set[str]] | None:
+        """The position and values of the keyed variable with the fewest
+        values, if any variable is keyed."""
+        best = None
+        for i, v in self.keyed:
+            values = keys(v)
+            if values is not None and (best is None or len(values) < len(best[1])):
+                best = (i, values)
+        return best
+
+    def __call__(self, source: Source, keys: Keys) -> Rows:
+        predicate, n = self.predicate, self.n
+        if isinstance(source, dict):
+            atoms = source.get(predicate, ())
+        else:
+            anchor = keys is not None and source.carries(predicate) and self.anchor(keys)
+            atoms = source.match(predicate, *anchor) if anchor else source.rows(predicate)
+        pick, consts, repeats = self.pick, self.consts, self.repeats
+        if pick is None:
+            return Rows(self.out, {args for args in atoms if len(args) == n})
+        return Rows(
+            self.out,
+            {
+                pick(args)
+                for args in atoms
+                if len(args) == n
+                and all(args[i] == c for i, c in consts)
+                and all(args[i] == args[j] for i, j in repeats)
+            },
+        )
+
+
+class _LeftValues:
+    """The key lookup that a join passes to its right operand: a variable
+    that every left row binds is keyed to its values there, any other to
+    its outer key.  Each variable's values are collected on first lookup."""
+
+    __slots__ = ("rows", "outer", "found")
+
+    def __init__(self, rows: Rows, outer: Keys):
+        self.rows, self.outer, self.found = rows, outer, None
+
+    def __call__(self, v: str) -> set[str] | None:
+        if self.found is None:
+            self.found = {}
+        if v not in self.found:
+            values = None
+            if v in self.rows.vars:
+                values = set(map(itemgetter(self.rows.vars.index(v)), self.rows.rows))
+            if values is None or None in values:
+                values = self.outer(v) if self.outer is not None else None
+            self.found[v] = values
+        return self.found[v]
 
 
 def _plan(q: Query) -> Plan:
-    """q compiled: a function from an index to q's rows."""
+    """q compiled: a function from a source and a key lookup to q's rows."""
     if isinstance(q, TriplePattern):
-        return _pattern_plan(q)
+        return _PatternPlan(q)
     if not isinstance(q, (UnionQ, JoinQ, OptQ)):
         body, names = _plan(q.body), tuple(v.name for v in q.vars)
-        return lambda index: project(body(index), names)
+
+        def select(source: Source, keys: Keys) -> Rows:
+            inner = keys and (lambda v: keys(v) if v in names else None)
+            return project(body(source, inner), names)
+
+        return select
     left, right = _plan(q.left), _plan(q.right)
     if isinstance(q, UnionQ):
-        return lambda index: union(left(index), right(index))
+        return lambda source, keys: union(left(source, keys), right(source, keys))
     if isinstance(q, JoinQ):
-        return lambda index: join(left(index), right(index))
 
-    def opt(index: Index) -> Rows:
-        l, r = left(index), right(index)
+        def join_plan(source: Source, keys: Keys) -> Rows:
+            l = left(source, keys)
+            return join(l, right(source, _LeftValues(l, keys)))
+
+        return join_plan
+
+    def opt(source: Source, keys: Keys) -> Rows:
+        l = left(source, keys)
+        r = right(source, _LeftValues(l, None))
         return union(join(l, r), diff(l, r))
 
     return opt
 
 
 # Each query's plan, compiled once.  Keyed by the query's identity, since
-# hashing a query recurses over its whole tree; an entry holds the query,
-# so its id is not reused while the entry lives.
+# a lookup by value compares equal queries node by node; an entry holds the
+# query, so its id is not reused while the entry lives.
 _PLANS: dict[int, tuple[Query, Plan]] = {}
 _MAX_PLANS = 256
 
 
-def evaluate(q: Query, index: Index) -> Rows:
-    """Standard compositional answers over an index, as slot rows."""
+def evaluate(q: Query, source: Source) -> Rows:
+    """Standard compositional answers over an index or a chase, as slot
+    rows."""
     hit = _PLANS.get(id(q))
     if hit is None or hit[0] is not q:
         if len(_PLANS) >= _MAX_PLANS:
             _PLANS.clear()
         hit = _PLANS[id(q)] = (q, _plan(q))
-    return hit[1](index)
+    return hit[1](source, None)
 
 
 def to_mappings(rows: Rows, terms: dict[str, Term] | None = None) -> MappingSet:

@@ -33,43 +33,64 @@ _KEYWORDS = {"SELECT", "UNION", "JOIN", "OPT"}
 _MAX_NESTING = 256
 
 
+class _Node:
+    """A query node stores its hash when it is built: the one a frozen
+    dataclass computes from its fields, which would otherwise recurse over
+    the whole tree on every lookup in a cache keyed by a query.  Each node
+    class names `__hash__` itself, so that the dataclass keeps it."""
+
+    def __post_init__(self):
+        # the fields, in order, are all that __init__ has stored
+        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 @dataclass(frozen=True)
-class TriplePattern:
+class TriplePattern(_Node):
     predicate: str
     args: tuple[Union[Var, Term], ...]
+    __hash__ = _Node.__hash__
 
     def __post_init__(self):
         if len(self.args) not in (1, 2):
             raise ValueError(f"pattern arity must be 1 or 2, got {len(self.args)}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class Select:
+class Select(_Node):
     vars: VarSet
     body: "Query"
+    __hash__ = _Node.__hash__
 
     def __post_init__(self):
         if not self.vars <= query_vars(self.body):
             extra = {str(v) for v in self.vars - query_vars(self.body)}
             raise ValueError(f"SELECT projects variables not in body: {sorted(extra)}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class UnionQ:
+class UnionQ(_Node):
     left: "Query"
     right: "Query"
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class JoinQ:
+class JoinQ(_Node):
     left: "Query"
     right: "Query"
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class OptQ:
+class OptQ(_Node):
     left: "Query"
     right: "Query"
+    __hash__ = _Node.__hash__
 
 
 Query = Union[TriplePattern, Select, UnionQ, JoinQ, OptQ]

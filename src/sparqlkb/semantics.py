@@ -136,8 +136,7 @@ def er_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
 
 def _canonical(q: Query, kb: KnowledgeBase, depth: int | None) -> Rows:
     """The answers over the chase to the depth given or the default one."""
-    cg = chase(kb, default_bound(kb, q) if depth is None else depth)
-    return evaluate(q, cg.graph.index)
+    return evaluate(q, chase(kb, default_bound(kb, q) if depth is None else depth))
 
 
 def can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
@@ -163,14 +162,14 @@ def m_can_ans_sjo(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Mapp
 def m_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Maximal admissible canonical answers, per branch, for SUJO queries."""
     cg = chase(kb, default_bound(kb, q) if depth is None else depth)
-    full = evaluate(q, cg.graph.index)
+    full = evaluate(q, cg)
     out: set[tuple] = set()
     for qb in branch(q):
         # sparql_ans_branch(q, cg.graph, qb), with q evaluated once
         if qb == q:
             answers = full
         else:
-            branch_rows = pad(evaluate(qb, cg.graph.index), full.vars)
+            branch_rows = pad(evaluate(qb, cg), full.vars)
             answers = Rows(full.vars, full.rows & branch_rows.rows)
         restricted = restrict_project(answers, kb.encoded.adom)
         # The largest admissible subset of each row domain, in place of

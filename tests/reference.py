@@ -1,8 +1,14 @@
 """Test-only references: the answer algebra by its definitions, on
 SolutionMappings, and the evaluator and six semantics built on it, as the
 engine computed them before it ran on slot rows.  Join and difference check
-every pair of rows, so nothing here shares the engine's hash partition."""
+every pair of rows, so nothing here shares the engine's hash partition.
 
+`materialized` is the engine's own evaluation over the materialized chase,
+as it ran before it read the chase on demand."""
+
+from unittest import mock
+
+import sparqlkb.semantics
 from sparqlkb.chase import chase, default_bound, entailed_abox
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.graph import Graph
@@ -183,3 +189,18 @@ SEMANTICS = {
     "mcan": m_can_ans,
     "mcan-sjo": m_can_ans_sjo,
 }
+
+
+def materialized(fn, q, kb):
+    """fn(q, kb), for one of the engine's semantics, with every chase it
+    reads evaluated over its materialized index,
+    `evaluate(q, chase(kb, b).graph.index)`, rather than walked on demand.
+    Also returns the bounds of the chases it read."""
+    bounds = []
+
+    def materialized_chase(kb, bound):
+        bounds.append(bound)
+        return chase(kb, bound).graph.index
+
+    with mock.patch.object(sparqlkb.semantics, "chase", materialized_chase):
+        return fn(q, kb), bounds

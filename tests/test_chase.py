@@ -1,7 +1,7 @@
 """TBox saturation, the deterministic chase, and satisfiability."""
 
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -27,12 +27,14 @@ from sparqlkb.kb import (
     KnowledgeBase,
     RoleExpr,
     RoleInclusion,
+    Var,
     anonymous,
     exists,
     individual,
     parse_kb,
 )
-from sparqlkb.query import parse_query
+from sparqlkb.graph import evaluate
+from sparqlkb.query import JoinQ, OptQ, TriplePattern, parse_query
 from sparqlkb.semantics import SEMANTICS, m_can_ans
 
 
@@ -289,6 +291,15 @@ class TestWitnessCount:
                 assert witness_count(kb, d) == len(chase(kb, d).depth_of), (seed, d)
 
 
+# The TBox of the benchmark's branching-chase workload over one A
+# individual: its chase doubles every two levels.
+BRANCHING = parse_kb(
+    "TBOX: A [= exists r . exists inv(r) [= exists s . exists inv(r) [= exists t ."
+    " exists inv(s) [= exists r . exists inv(t) [= exists r . exists inv(s) [= C ."
+    " C [= D . A [= not B . ABOX: A(a) ."
+)
+
+
 class TestDepthStability:
     """Answers at the default bound equal those at twice it: a check well
     beyond the acceptance suite's bound + 3."""
@@ -325,15 +336,36 @@ class TestDepthStability:
         "UNION( JOIN( r(?x, ?y), C(?y) ), OPT( r(?x, ?y), t(?y, ?z) ) )",
     ])
     def test_a_tbox_whose_chase_branches(self, query):
-        """The TBox of the benchmark's branching-chase workload, whose chase
-        doubles every two levels, over one A individual."""
-        kb = parse_kb(
-            "TBOX: A [= exists r . exists inv(r) [= exists s . exists inv(r) [= exists t ."
-            " exists inv(s) [= exists r . exists inv(t) [= exists r . exists inv(s) [= C ."
-            " C [= D . A [= not B . ABOX: A(a) ."
-        )
         q = parse_query(query)
-        self._assert_stable(q, kb, 2 * default_bound(kb, q))
+        self._assert_stable(q, BRANCHING, 2 * default_bound(BRANCHING, q))
+
+
+class TestAnchoredChains:
+    """JOIN and OPT chains of 1 to 5 role steps, forward and inverse,
+    anchored at a concept, read on demand equal the materialized chase at
+    bounds 0 to 4.  A chain longer than the bound walks to the witnesses at
+    the bound, which have no children, and an inverse step walks back to a
+    witness's parent."""
+
+    STEPS = (("r", False), ("r", True), ("s", False), ("s", True))
+
+    @pytest.mark.parametrize("anchor", ["A", "C"])
+    @pytest.mark.parametrize("op", [JoinQ, OptQ])
+    def test_equals_the_materialized_chase(self, anchor, op):
+        chases = [chase(BRANCHING, bound) for bound in range(5)]
+        v = [Var(f"v{i}") for i in range(6)]
+        checked = 0
+        for n in range(1, 6):
+            for steps in product(self.STEPS, repeat=n):
+                q = TriplePattern(anchor, (v[0],))
+                for i, (role, inverse) in enumerate(steps):
+                    args = (v[i + 1], v[i]) if inverse else (v[i], v[i + 1])
+                    q = op(q, TriplePattern(role, args))
+                for cg in chases:
+                    lazy, full = evaluate(q, cg), evaluate(q, cg.graph.index)
+                    assert (lazy.vars, lazy.rows) == (full.vars, full.rows), (cg.bound, steps)
+                    checked += 1
+        assert checked == 1364 * 5
 
 
 class TestDefaultBound:

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import time
 
 import pytest
 
@@ -70,6 +71,24 @@ class TestEval:
             "--semantics", "certain-ucq",
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("semantics", ["canonical", "restricted", "mcan"])
+    def test_a_deep_bound_costs_only_what_the_query_reads(self, tmp_path, semantics):
+        """The query reads depth 1 of a chase that grows a witness per
+        level, so a bound of 100,000 answers as fast as, and the same as,
+        a bound of 5."""
+        kb, q = tmp_path / "chain.kb", tmp_path / "anchored.sq"
+        kb.write_text(
+            "TBOX: A [= exists r . exists inv(r) [= exists s . exists inv(s) [= exists r ."
+            " ABOX: A(a) ."
+        )
+        q.write_text("JOIN( A(?x), r(?x, ?y) )")
+        argv = ("eval", "--kb", str(kb), "--query", str(q), "--semantics", semantics)
+        start = time.process_time()
+        deep = run(*argv, "--depth", "100000")
+        assert time.process_time() - start < 2
+        assert deep == run(*argv, "--depth", "5")
+        assert deep[0] == EXIT_OK
 
 
 class TestBoundary:

@@ -269,3 +269,15 @@ def test_every_cache_is_bounded():
         )
     assert caches
     assert [c for c in caches if c[2] is None] == []
+
+
+def test_a_node_hashes_without_hashing_its_children(monkeypatch):
+    """Every node stores its hash when it is built, so a cache keyed by a
+    query hashes one node, not the tree."""
+    q = parse_query(join_chain(200))
+    assert hash(q) == hash((q.left, q.right))
+    calls = []
+    for cls in (JoinQ, TriplePattern):
+        monkeypatch.setattr(cls, "__hash__", lambda node, h=cls.__hash__: calls.append(node) or h(node))
+    hash(q)
+    assert calls == [q]

@@ -10,7 +10,7 @@ import sparqlkb.semantics
 from conftest import load_kb, load_query, m, ms
 from sparqlkb.chase import chase, default_bound
 from sparqlkb.errors import QueryShapeError
-from sparqlkb.graph import sparql_ans_branch
+from sparqlkb.graph import evaluate, sparql_ans_branch
 from sparqlkb.harness import SizeParams, generate_instances
 from sparqlkb.kb import Var, active_domain, parse_kb
 from sparqlkb.query import (
@@ -234,8 +234,13 @@ class TestDepthIndependence:
 
 
 class TestSlotRowEngine:
-    """The engine runs on names and slot rows; the SolutionMapping-level
-    references in reference.py define what it must return."""
+    """The engine runs on names and slot rows, and reads the chase on
+    demand, walking the type graph from the values a join's left operand
+    binds.  The SolutionMapping-level references in reference.py, and the
+    engine's own evaluation over the materialized chase, define what it
+    must return."""
+
+    CHASE_READERS = {"certain-ucq", "canonical", "restricted", "mcan", "mcan-sjo"}
 
     @pytest.mark.parametrize("seed", [3, 11, 17, 23, 31])
     def test_every_semantics_matches_the_reference(self, seed):
@@ -243,9 +248,18 @@ class TestSlotRowEngine:
         for kb, q in islice(generate_instances(seed, SizeParams()), 400):
             for name, fn in functions.items():
                 try:
-                    expected = reference.SEMANTICS[name](q, kb)
+                    answers = fn(q, kb)
                 except QueryShapeError:
                     with pytest.raises(QueryShapeError):
-                        fn(q, kb)
+                        reference.SEMANTICS[name](q, kb)
                     continue
-                assert fn(q, kb) == expected, (name, serialize_query(q))
+                assert answers == reference.SEMANTICS[name](q, kb), (name, serialize_query(q))
+                materialized, bounds = reference.materialized(fn, q, kb)
+                assert answers == materialized, (name, serialize_query(q))
+                assert bool(bounds) == (name in self.CHASE_READERS), name
+            for bound in (0, 1, 2, default_bound(kb, q)):
+                cg = chase(kb, bound)
+                for x in {q} | branch(q):
+                    lazy, full = evaluate(x, cg), evaluate(x, cg.graph.index)
+                    assert (lazy.vars, lazy.rows) == (full.vars, full.rows), (
+                        bound, serialize_query(x))
