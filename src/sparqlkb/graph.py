@@ -380,17 +380,15 @@ def evaluate(q: Query, source: Source) -> Rows:
     return hit[1](source, None)
 
 
-def to_mappings(rows: Rows, terms: dict[str, Term] | None = None) -> MappingSet:
-    """The public form of slot rows: one SolutionMapping per row.  A name
-    in `terms` stands for the Term given there."""
-    known = terms or {}
+def to_mappings(rows: Rows) -> MappingSet:
+    """The public form of slot rows: one SolutionMapping per row."""
     # one (Var, Term) pair per slot and value, shared by the rows
     pairs: list[dict[str, tuple[Var, Term]]] = []
     for slot, v in enumerate(rows.vars):
         var = Var(v)
         names = set(map(itemgetter(slot), rows.rows))
         names.discard(None)
-        pairs.append({name: (var, known.get(name) or term(name)) for name in names})
+        pairs.append({name: (var, term(name)) for name in names})
     get = dict.__getitem__
     return frozenset(
         SolutionMapping(

@@ -484,4 +484,5 @@ def differential(q: Query, kb: KnowledgeBase) -> DifferentialReport:
 
 
 def describe_instance(kb: KnowledgeBase, q: Query) -> str:
-    return f"kb<{len(kb.tbox)}ax,{len(kb.abox)}facts> q<{serialize_query(q)}>"
+    facts = sum(map(len, kb.encoded.facts.values()))
+    return f"kb<{len(kb.tbox)}ax,{facts}facts> q<{serialize_query(q)}>"

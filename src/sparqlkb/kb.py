@@ -16,7 +16,8 @@ the file (in an ``exists``/``inv``, a binary fact, or another role inclusion).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple, NoReturn, Union
 
@@ -178,36 +179,85 @@ class EncodedAbox(NamedTuple):
 
     facts: dict[str, frozenset[tuple[str, ...]]]  # predicate -> argument names
     adom: frozenset[str]  # the active domain
-    terms: dict[str, Term]  # the ABox's Term of each name in adom
 
 
-@dataclass(frozen=True)
+def _encoded(facts: dict[str, set[tuple[str, ...]]]) -> EncodedAbox:
+    """The EncodedAbox of each predicate's argument-name tuples."""
+    adom = frozenset(name for rows in facts.values() for args in rows for name in args)
+    return EncodedAbox({p: frozenset(rows) for p, rows in facts.items()}, adom)
+
+
 class KnowledgeBase:
-    """Immutable DL-Lite_R knowledge base ⟨TBox, ABox⟩."""
+    """Immutable DL-Lite_R knowledge base ⟨TBox, ABox⟩.
 
-    tbox: frozenset[TBoxAxiom]
-    abox: frozenset[Atom]
-    encoded: EncodedAbox = field(init=False, repr=False, compare=False)
+    It is its TBox and its ABox's name index `encoded`, which is all the
+    engine reads; names and Atoms map one to one, so two KBs are equal iff
+    their TBoxes and Atom sets are.  The Atoms of `abox` are built on first
+    read, unless the constructor was given them.  Like a query node, a KB
+    stores its hash when it is built."""
 
-    def __post_init__(self):
+    def __init__(self, tbox: frozenset[TBoxAxiom], abox: frozenset[Atom]):
+        abox = frozenset(abox)  # the argument itself, if it is a frozenset
         facts: dict[str, set[tuple[str, ...]]] = {}
-        for atom in self.abox:
+        for atom in abox:
             facts.setdefault(atom.predicate, set()).add(tuple(map(_name, atom.args)))
-        terms = {t.name: t for atom in self.abox for t in atom.args}
-        if any(name.startswith("_:") for name in terms):
-            for atom in self.abox:
+        encoded = _encoded(facts)
+        if any(name.startswith("_:") for name in encoded.adom):
+            for atom in abox:
                 if not all(t.is_individual for t in atom.args):
                     raise ValueError(f"ABox atom mentions non-individual: {atom}")
-        encoded = EncodedAbox(
-            {p: frozenset(a) for p, a in facts.items()}, frozenset(terms), terms
+        self.__dict__["abox"] = abox
+        self._identify(frozenset(tbox), encoded)
+
+    @classmethod
+    def of_encoded(cls, tbox: frozenset[TBoxAxiom], encoded: EncodedAbox) -> "KnowledgeBase":
+        """The KB of a name index of individuals' names (no predicate may
+        map to an empty set)."""
+        kb = cls.__new__(cls)
+        kb._identify(tbox, encoded)
+        return kb
+
+    def _identify(self, tbox: frozenset[TBoxAxiom], encoded: EncodedAbox) -> None:
+        hashed = hash((tbox, frozenset(encoded.facts.items())))
+        self.__dict__.update(tbox=tbox, encoded=encoded, _hash=hashed)
+
+    @cached_property
+    def abox(self) -> frozenset[Atom]:
+        return frozenset(
+            Atom(p, tuple(map(individual, args)))
+            for p, rows in self.encoded.facts.items()
+            for args in rows
         )
-        object.__setattr__(self, "encoded", encoded)
+
+    def __setattr__(self, name: str, *value) -> NoReturn:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not KnowledgeBase:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.tbox == other.tbox
+            and self.encoded.facts == other.encoded.facts
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # the stored hash is of strings, which differ between processes
+        return KnowledgeBase, (self.tbox, self.abox)
+
+    def __repr__(self) -> str:
+        return f"KnowledgeBase(tbox={self.tbox!r}, abox={self.abox!r})"
 
 
 def active_domain(kb: KnowledgeBase) -> frozenset[Term]:
     """Individuals appearing syntactically in the TBox or ABox."""
     # TBox axioms in this language never mention individuals.
-    return frozenset(t for atom in kb.abox for t in atom.args)
+    return frozenset(map(individual, kb.encoded.adom))
 
 
 # --- parsing ----------------------------------------------------------------
@@ -309,9 +359,23 @@ def _parse_side(toks: _Tokens):
     return name
 
 
-def _parse_facts(toks: _Tokens) -> list[tuple[str, tuple[str, ...], int]]:
-    """The ABox statements: (predicate, argument names, token index)."""
-    tokens, facts = toks.tokens, []
+def _read_fact(toks: _Tokens) -> tuple[str, tuple[str, ...]]:
+    """One ABox statement, through the checking path, which raises."""
+    name = _parse_name(toks, "predicate")
+    toks.next("(")
+    args = [_parse_individual(toks)]
+    if toks.at(","):
+        toks.next()
+        args.append(_parse_individual(toks))
+    toks.next(")")
+    toks.next(".")
+    return name, tuple(args)
+
+
+def _parse_facts(toks: _Tokens) -> tuple[dict[str, set], dict[str, set]]:
+    """The ABox statements by name: the unary and the binary facts'
+    argument tuples per predicate."""
+    tokens, unary, binary = toks.tokens, {}, {}
     i, n = toks.index, len(toks.tokens)
     while i < n:
         # The two shapes of a well-formed fact are read off the token list;
@@ -324,7 +388,7 @@ def _parse_facts(toks: _Tokens) -> list[tuple[str, tuple[str, ...], int]]:
             a = tokens[i + 2]
             if a[0].isalnum():
                 if tokens[i + 3] == ")" and tokens[i + 4] == ".":
-                    facts.append((p, (a,), i))
+                    unary.setdefault(p, set()).add((a,))
                     i += 5
                     continue
                 b = tokens[i + 4]
@@ -332,22 +396,15 @@ def _parse_facts(toks: _Tokens) -> list[tuple[str, tuple[str, ...], int]]:
                     tokens[i + 3] == "," and b[0].isalnum() and i + 6 < n
                     and tokens[i + 5] == ")" and tokens[i + 6] == "."
                 ):
-                    facts.append((p, (a, b), i))
+                    binary.setdefault(p, set()).add((a, b))
                     i += 7
                     continue
         toks.index = i
-        name = _parse_name(toks, "predicate")
-        toks.next("(")
-        args = [_parse_individual(toks)]
-        if toks.at(","):
-            toks.next()
-            args.append(_parse_individual(toks))
-        toks.next(")")
-        toks.next(".")
-        facts.append((name, tuple(args), i))
+        name, args = _read_fact(toks)
+        (unary if len(args) == 1 else binary).setdefault(name, set()).add(args)
         i = toks.index
     toks.index = i
-    return facts
+    return unary, binary
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -371,11 +428,10 @@ def parse_kb(text: str) -> KnowledgeBase:
         toks.next(".")
     toks.next("ABOX")
     toks.next(":")
-    facts = _parse_facts(toks)
+    start = toks.index
+    unary, binary = _parse_facts(toks)
 
     # Vocabulary inference for the ambiguous bare-name inclusions.
-    unary = {name for name, args, _ in facts if len(args) == 1}
-    binary = {name for name, args, _ in facts if len(args) == 2}
     roles: set[str] = set(binary)
     concepts: set[str] = set(unary)
     for lhs, negated, rhs, _ in raw_axioms:
@@ -431,15 +487,16 @@ def parse_kb(text: str) -> KnowledgeBase:
 
     # A name is used with one arity, as a role or as a concept; the first
     # fact that breaks this is reported.
-    if unary & roles or binary & concepts:
-        for name, args, at in facts:
+    if unary.keys() & roles or binary.keys() & concepts:
+        toks.index = start
+        while True:
+            at = toks.index
+            name, args = _read_fact(toks)
             if name in roles and len(args) == 1:
                 toks.fail(f"role {name!r} used with 1 argument", at)
             if name in concepts and len(args) == 2:
                 toks.fail(f"concept {name!r} used with 2 arguments", at)
-    terms = {name: individual(name) for name in {n for _, args, _ in facts for n in args}}
-    atoms = [Atom(name, tuple(map(terms.__getitem__, args))) for name, args, _ in facts]
-    return KnowledgeBase(frozenset(axioms), frozenset(atoms))
+    return KnowledgeBase.of_encoded(frozenset(axioms), _encoded(unary | binary))
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:
@@ -447,5 +504,7 @@ def serialize_kb(kb: KnowledgeBase) -> str:
     lines = ["TBOX:"]
     lines.extend(sorted(str(ax) for ax in kb.tbox))
     lines.append("ABOX:")
-    lines.extend(sorted(f"{atom} ." for atom in kb.abox))
+    lines.extend(sorted(
+        f"{p}({', '.join(args)}) ." for p, rows in kb.encoded.facts.items() for args in rows
+    ))
     return "\n".join(lines) + "\n"

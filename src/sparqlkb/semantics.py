@@ -86,7 +86,7 @@ def otimes(rows: Rows, family: VarSetFamily) -> Rows:
 
 def plain_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """SPARQL answers over the ABox viewed as a plain graph; TBox ignored."""
-    return to_mappings(evaluate(q, kb.encoded.facts), kb.encoded.terms)
+    return to_mappings(evaluate(q, kb.encoded.facts))
 
 
 def _cq_join_tree(q: Query) -> bool:
@@ -131,7 +131,7 @@ def er_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     Chase atoms over named individuals are exactly the entailed ABox, so
     the certain answers to a triple pattern are its matches there.
     """
-    return to_mappings(evaluate(q, entailed_abox(kb).index), kb.encoded.terms)
+    return to_mappings(evaluate(q, entailed_abox(kb).index))
 
 
 def _canonical(q: Query, kb: KnowledgeBase, depth: int | None) -> Rows:
@@ -142,14 +142,14 @@ def _canonical(q: Query, kb: KnowledgeBase, depth: int | None) -> Rows:
 def can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Answers over the canonical model, filtered to the active domain."""
     rows = restrict_filter(_canonical(q, kb, depth), kb.encoded.adom)
-    return to_mappings(rows, kb.encoded.terms)
+    return to_mappings(rows)
 
 
 def rest_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Answers over the canonical model, each projected onto its
     active-domain-valued bindings."""
     rows = restrict_project(_canonical(q, kb, depth), kb.encoded.adom)
-    return to_mappings(rows, kb.encoded.terms)
+    return to_mappings(rows)
 
 
 def m_can_ans_sjo(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
@@ -183,7 +183,7 @@ def m_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingS
             )
         )
         out.update(otimes(restricted, family).rows)
-    return to_mappings(Rows(full.vars, out), kb.encoded.terms)
+    return to_mappings(Rows(full.vars, out))
 
 
 SEMANTICS = {

@@ -1,9 +1,18 @@
 """Knowledge-base model, parser, and serializer."""
 
+import os
+import pickle
+import subprocess
+import sys
+from itertools import islice
+from pathlib import Path
+
 import pytest
 
 from conftest import FIXTURES, load_kb
+from sparqlkb import chase as chase_module
 from sparqlkb.errors import ParseError
+from sparqlkb.harness import SizeParams, generate_instances
 from sparqlkb.kb import (
     Atom,
     BasicConcept,
@@ -155,3 +164,73 @@ class TestDerivedViews:
     def test_empty_kb_has_empty_views(self):
         kb = KnowledgeBase(frozenset(), frozenset())
         assert active_domain(kb) == frozenset()
+
+
+class TestIdentity:
+    """A KB is its TBox and its ABox's name index: the parser builds the
+    index without Atoms, the constructor from the Atoms it is given."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_a_parsed_kb_equals_the_kb_it_was_written_from(self, seed):
+        previous = None
+        for kb, _ in islice(generate_instances(seed, SizeParams()), 500):
+            parsed = parse_kb(serialize_kb(kb))
+            assert parsed == kb and hash(parsed) == hash(kb)
+            assert parsed.abox == kb.abox
+            if previous is not None:
+                same = serialize_kb(kb) == serialize_kb(previous)
+                assert (parsed == previous) == same
+            previous = kb
+
+    def test_kbs_that_differ_in_one_fact_differ(self):
+        kbs = [parse_kb(f"TBOX: A [= exists r . ABOX: {abox}") for abox in (
+            "", "A(a) .", "A(b) .", "r(a, b) .", "r(b, a) .", "A(a) . r(a, b) .",
+        )]
+        for i, kb in enumerate(kbs):
+            assert [kb == other for other in kbs] == [j == i for j in range(len(kbs))]
+
+    def test_a_parsed_and_an_equal_constructed_kb_share_one_model(self):
+        parsed = parse_kb("TBOX: A [= exists r . ABOX: A(a) . r(a, b) .")
+        a, b = individual("a"), individual("b")
+        built = KnowledgeBase(parsed.tbox, frozenset({Atom("A", (a,)), Atom("r", (a, b))}))
+        chase_module._model.cache_clear()
+        chase_module.is_satisfiable(parsed)
+        chase_module.is_satisfiable(built)
+        info = chase_module._model.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_the_constructor_keeps_the_atoms_it_is_given(self):
+        atoms = frozenset({Atom("A", (individual("a"),))})
+        assert KnowledgeBase(frozenset(), atoms).abox is atoms
+
+    def test_a_non_individual_term_is_rejected_from_any_collection(self):
+        with pytest.raises(ValueError):
+            KnowledgeBase(frozenset(), {Atom("r", (individual("a"), anonymous("_:w")))})
+
+    def test_is_immutable(self):
+        kb = parse_kb("TBOX: A [= exists r . ABOX: A(a) .")
+        for name in ("tbox", "abox", "encoded"):
+            with pytest.raises(AttributeError):
+                setattr(kb, name, frozenset())
+            with pytest.raises(AttributeError):
+                delattr(kb, name)
+        assert kb == parse_kb("TBOX: A [= exists r . ABOX: A(a) .")
+
+    def test_pickles_across_processes(self, tmp_path):
+        """The stored hash is of strings, whose hashes differ between
+        processes, so it is not pickled."""
+        kb = load_kb("ex7.kb")
+        assert pickle.loads(pickle.dumps(kb)) == kb
+        (tmp_path / "kb.pickle").write_bytes(pickle.dumps(kb))
+        check = (
+            "import pickle, sys\n"
+            "from conftest import load_kb\n"
+            "kb = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "print(kb in {load_kb('ex7.kb')})\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", check, str(tmp_path / "kb.pickle")],
+            env=env, cwd=Path(__file__).parent, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout == "True\n"
