@@ -8,8 +8,9 @@ a trailing ``-`` on a path segment marks an inverse-role step.
 The chase is type-based: a named individual's type comes from the saturated
 ABox, and a witness created through role r has the type closure(∃r⁻), since
 its only edges are r and r's super-roles from its parent.  `_model` derives
-the entailed ABox, these types and the consistency verdict once per KB; the
-chase, witness counts, satisfiability and the entailed ABox all read it.
+the entailed ABox, these types, one record per witness role of the atoms it
+adds, and the consistency verdict once per KB; the chase, witness counts,
+satisfiability and the entailed ABox all read it.
 A chase is read on demand: query evaluation walks the type graph from the
 elements a pattern is keyed to, and the chase is unfolded to its bound only
 when it is read whole.
@@ -17,7 +18,7 @@ when it is read whole.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
@@ -177,20 +178,29 @@ def _segment(r: RoleExpr) -> str:
     return r.name + ("-" if r.inverse else "")
 
 
-class _Model(NamedTuple):
-    """The canonical model of a KB as a finite type graph.  Every reader
-    shares `index`, so a reader that extends it extends a copy."""
+class _Witness(NamedTuple):
+    """A witness created through a role r.  Its edge from its parent is
+    saturated to every super-role s of r: `edges` holds each s's name and
+    whether s is an inverse (its atom then runs from the witness to its
+    parent).  `atomic` names its type's atomic concepts, and `fire` holds
+    the path segments of the roles its type fires."""
 
-    sat: SaturatedTBox
+    edges: tuple[tuple[str, bool], ...]
+    atomic: tuple[str, ...]
+    fire: tuple[str, ...]
+
+
+class _Model(NamedTuple):
+    """The canonical model of a KB as a finite type graph: the entailed
+    ABox, the witnesses each named individual's type fires, and one record
+    per fired role, keyed by the path segment that names its witnesses.
+    Every reader shares `index`, so a reader that extends it extends a copy."""
+
     index: dict[str, set[tuple[str, ...]]]  # the entailed ABox, by predicate
-    types: dict[str, _Type]  # named individual -> its type
-    witness: dict[RoleExpr, _Type]  # r -> the type of a witness created through r
+    fire: dict[str, tuple[str, ...]]  # named individual -> segments its type fires
+    witness: dict[str, _Witness]  # path segment -> the witness of its role
+    carried: frozenset[str]  # the predicates of witness atoms
     consistent: bool  # no type holds a disjoint pair
-    roles: dict[str, RoleExpr]  # a witness's last path segment -> its creating role
-    # p -> for each argument position, the roles r such that a witness
-    # created through r has a p-edge with its parent at that position
-    parent_at: dict[str, tuple[set[RoleExpr], set[RoleExpr]]]
-    marked: dict[str, set[RoleExpr]]  # p -> the roles whose witness has concept p
     args: dict[tuple[str, int], dict]  # `by_arg`'s lookups, each built on first use
 
     def by_arg(self, p: str, pos: int) -> dict[str, list[tuple[str, ...]]]:
@@ -216,8 +226,8 @@ def _model(kb: KnowledgeBase) -> _Model:
     edges (which role saturation materializes).  Individuals with the same
     facts' predicates share one type.  A witness created through r has the
     type closure(∃r⁻), since its edge from its parent is saturated to every
-    super-role of r; `witness` holds it for every role reachable from the
-    named types through fired roles.
+    super-role of r; `witness` holds the record of its witnesses for every
+    role reachable from the named types through fired roles.
     """
     sat = saturate(kb.tbox)
     facts = kb.encoded.facts
@@ -254,33 +264,30 @@ def _model(kb: KnowledgeBase) -> _Model:
     groups: dict[frozenset, list[str]] = {}
     for t, key in signature.items():
         groups.setdefault(frozenset(key), []).append(t)
-    types: dict[str, _Type] = {}
+    fire: dict[str, tuple[str, ...]] = {}
     reached = []
     for key, members in groups.items():
         typ = _type(satisfied(key), sat)
         reached.append(typ)
-        types.update(dict.fromkeys(members, typ))
+        fire.update(dict.fromkeys(members, tuple(map(_segment, typ.fire))))
         for a in typ.atomic:
             index.setdefault(a, set()).update(zip(members))
 
-    witness: dict[RoleExpr, _Type] = {}
+    witness: dict[str, _Witness] = {}
     pending = [r for typ in reached for r in typ.fire]
     while pending:
         r = pending.pop()
-        if r not in witness:
-            witness[r] = wtype = _type({exists(s.inverted()) for s in sat.super_roles(r)}, sat)
+        segment = _segment(r)
+        if segment not in witness:
+            wtype = _type({exists(s.inverted()) for s in sat.super_roles(r)}, sat)
             reached.append(wtype)
             pending.extend(wtype.fire)
-    parent_at: dict[str, tuple[set[RoleExpr], set[RoleExpr]]] = {}
-    marked: dict[str, set[RoleExpr]] = {}
-    for r, wtype in witness.items():
-        for s in sat.super_roles(r):
-            parent_at.setdefault(s.name, (set(), set()))[s.inverse].add(r)
-        for a in wtype.atomic:
-            marked.setdefault(a, set()).add(r)
+            edges = tuple((s.name, s.inverse) for s in sat.super_roles(r))
+            witness[segment] = _Witness(edges, wtype.atomic, tuple(map(_segment, wtype.fire)))
+    carried = {a for w in witness.values() for a in w.atomic}
+    carried.update(p for w in witness.values() for p, _ in w.edges)
     consistent = not any(typ.clash for typ in reached)
-    roles = {_segment(r): r for r in witness}
-    return _Model(sat, index, types, witness, consistent, roles, parent_at, marked, {})
+    return _Model(index, fire, witness, frozenset(carried), consistent, {})
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,11 +295,11 @@ class ChaseGraph:
     """The restricted chase of a KB up to a witness depth, read on demand.
 
     Its atoms over named individuals are the model's entailed ABox.  Each
-    witness adds its edge from its parent, saturated to every super-role of
-    its creating role, and the atomic concepts of its type.  `graph` and
-    `depth_of` materialize the chase on first read.  `rows` and `match`
-    answer from the type graph, and materialize it only for the rows of a
-    predicate that witness atoms carry.
+    witness adds the atoms its record (`_Witness`) lists: its edges from its
+    parent and its atomic concepts.  Both readers read those records:
+    `graph` and `depth_of` unfold them to the bound on first read, and
+    `match` walks them from the values it is given.  `rows` unfolds them
+    only for a predicate that witness atoms carry.
     """
 
     model: _Model = field(repr=False)
@@ -300,47 +307,30 @@ class ChaseGraph:
 
     @cached_property
     def _unfolded(self) -> tuple[dict[str, set[tuple[str, ...]]], dict[str, int]]:
-        """The chase's index and each witness's depth: the witness types
+        """The chase's index and each witness's depth: the witness records
         unfolded breadth-first from the named individuals to the bound."""
         model, bound = self.model, self.bound
-        sat = model.sat
-        index = {p: set(rows) for p, rows in model.index.items()}
-        # per role fired: its path segment, the (edge set, inverse) pairs of
-        # its super-roles, the concept sets of its atomic concepts, and the
-        # roles its witness fires.  A plan is made when its role first fires,
-        # so that every predicate it adds to the index gets an atom.
-        plans: dict[RoleExpr, tuple] = {}
-
-        def plan(r: RoleExpr) -> tuple:
-            if r not in plans:
-                wtype = model.witness[r]
-                plans[r] = (
-                    "|" + _segment(r),
-                    [(index.setdefault(s.name, set()), s.inverse) for s in sat.super_roles(r)],
-                    [index.setdefault(a, set()) for a in wtype.atomic],
-                    wtype.fire,
-                )
-            return plans[r]
-
+        witnesses = model.witness
+        index = defaultdict(set, {p: set(rows) for p, rows in model.index.items()})
         depth_of: dict[str, int] = {}
-        queue: deque[tuple[str, int, tuple[RoleExpr, ...]]] = deque(
-            (t, 0, typ.fire) for t, typ in sorted(model.types.items()) if typ.fire
+        queue: deque[tuple[str, int, tuple[str, ...]]] = deque(
+            (t, 0, fire) for t, fire in sorted(model.fire.items()) if fire
         )
         while queue:
             parent, depth, fire = queue.popleft()
             if depth >= bound:
                 continue
-            prefix = parent if parent.startswith("_:") else "_:" + parent
-            for r in fire:
-                segment, edges, concepts, witness_fire = plan(r)
+            prefix = (parent if parent.startswith("_:") else "_:" + parent) + "|"
+            for segment in fire:
+                w = witnesses[segment]
                 witness = prefix + segment
                 depth_of[witness] = depth + 1
-                for edge_set, inverse in edges:
-                    edge_set.add((witness, parent) if inverse else (parent, witness))
-                for concept_set in concepts:
-                    concept_set.add((witness,))
-                queue.append((witness, depth + 1, witness_fire))
-        return index, depth_of
+                for p, inverse in w.edges:
+                    index[p].add((witness, parent) if inverse else (parent, witness))
+                for a in w.atomic:
+                    index[a].add((witness,))
+                queue.append((witness, depth + 1, w.fire))
+        return dict(index), depth_of
 
     @cached_property
     def graph(self) -> Graph:
@@ -353,7 +343,7 @@ class ChaseGraph:
 
     def carries(self, p: str) -> bool:
         """Whether a witness atom can have predicate p."""
-        return self.bound > 0 and (p in self.model.parent_at or p in self.model.marked)
+        return self.bound > 0 and p in self.model.carried
 
     def rows(self, p: str) -> Iterable[tuple[str, ...]]:
         """The atoms of predicate p."""
@@ -363,35 +353,34 @@ class ChaseGraph:
         """The atoms of p whose argument at pos is one of values, each an
         element of this chase.  A walk of the type graph from each value:
         a named one has its entailed ABox atoms and the edges to the
-        witnesses its type fires; a witness, whose creating role is its
+        witnesses its type fires; a witness, whose record is named by its
         last path segment and whose depth is its number of segments, has
-        its type's concepts, the edge to its parent, and below the bound
-        the edges to its children."""
+        its concepts, the edge to its parent, and below the bound the edges
+        to its children."""
         model, bound = self.model, self.bound
-        named, marked = model.by_arg(p, pos), model.marked.get(p, ())
-        parent_at = model.parent_at.get(p, ((), ()))
-        outward, inward = parent_at[pos], parent_at[1 - pos]
+        witnesses, named = model.witness, model.by_arg(p, pos)
+        # the edge of a witness at pos from its parent, and to its child
+        inward, outward = (p, pos == 0), (p, pos == 1)
         found: list[tuple[str, ...]] = []
         for v in values:
             if v.startswith("_:"):
                 parent, _, segment = v.rpartition("|")
-                r = model.roles[segment]
-                if r in marked:
+                w = witnesses[segment]
+                if p in w.atomic:
                     found.append((v,))
-                if r in inward:
+                if inward in w.edges:
                     if "|" not in parent:
                         parent = parent[2:]
                     found.append((v, parent) if pos == 0 else (parent, v))
-                fire = model.witness[r].fire if v.count("|") < bound else ()
+                fire = w.fire if v.count("|") < bound else ()
                 prefix = v + "|"
             else:
                 found.extend(named.get(v, ()))
-                typ = model.types.get(v)
-                fire = typ.fire if typ is not None and bound > 0 else ()
+                fire = model.fire.get(v, ()) if bound > 0 else ()
                 prefix = "_:" + v + "|"
-            for r in fire:
-                if r in outward:
-                    child = prefix + _segment(r)
+            for segment in fire:
+                if outward in witnesses[segment].edges:
+                    child = prefix + segment
                     found.append((v, child) if pos == 0 else (child, v))
         return found
 
@@ -415,16 +404,16 @@ def witness_count(kb: KnowledgeBase, bound: int) -> int:
     levels left to the bound, heads W(r, d) = 1 + Σ W(s, d − 1) witnesses,
     over the roles s its type fires, and W(r, 0) = 0."""
     model = _model(kb)
-    counts: dict[tuple[RoleExpr, int], int] = {}
+    counts: dict[tuple[str, int], int] = {}
 
-    def count(r: RoleExpr, d: int) -> int:
+    def count(segment: str, d: int) -> int:
         if d <= 0:
             return 0
-        if (r, d) not in counts:
-            counts[r, d] = 1 + sum(count(s, d - 1) for s in model.witness[r].fire)
-        return counts[r, d]
+        if (segment, d) not in counts:
+            counts[segment, d] = 1 + sum(count(s, d - 1) for s in model.witness[segment].fire)
+        return counts[segment, d]
 
-    return sum(count(r, bound) for typ in model.types.values() for r in typ.fire)
+    return sum(count(s, bound) for fire in model.fire.values() for s in fire)
 
 
 def model_bound(kb: KnowledgeBase) -> int:

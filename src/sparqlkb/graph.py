@@ -7,11 +7,12 @@ a sorted list of variable names, one slot per variable, None where it is
 unbound.  `Atom`, `Term` and `SolutionMapping` are built only where a public
 function returns.
 
-A query runs as a compiled plan over a source: an index, or a chase read
-on demand (`chase.ChaseGraph`), which a plan reads through key lookups.
-Keys K map some variables to sets of values, and r_K(Ω) keeps the rows of Ω
-that bind each keyed variable, if they bind it at all, to one of its
-values.  Every plan keeps the invariant r_K(ans(q)) ⊆ eval(q, K) ⊆ ans(q):
+`evaluate` recurses over the query tree, node by node, over a source: an
+index, or a chase read on demand (`chase.ChaseGraph`), which a triple
+pattern reads through key lookups.  Keys K map some variables to sets of
+values, and r_K(Ω) keeps the rows of Ω that bind each keyed variable, if
+they bind it at all, to one of its values.  Every node keeps the invariant
+r_K(ans(q)) ⊆ eval(q, K) ⊆ ans(q):
 - a triple pattern over a predicate that witnesses carry reads only the
   atoms whose argument at one keyed variable is one of its values;
 - JOIN passes its right operand the values of each variable that every
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 from .errors import QueryShapeError
 from .kb import Atom, Term, Var, term
 from .mappings import MappingSet, SolutionMapping
-from .query import JoinQ, OptQ, Query, TriplePattern, UnionQ, branch
+from .query import JoinQ, Query, Select, TriplePattern, UnionQ, branch
 
 if TYPE_CHECKING:
     from .chase import ChaseGraph
@@ -240,22 +241,19 @@ def unbind(rows: Rows, keep: Iterable[str]) -> Rows:
     return Rows(rows.vars, {pick(row + (None,)) for row in rows.rows})
 
 
-# What a plan reads: an Index, or a chase read on demand, whose `rows(p)`
+# What a query reads: an Index, or a chase read on demand, whose `rows(p)`
 # are the atoms of p, `match(p, pos, values)` the atoms of p whose argument
 # at pos is one of values, and `carries(p)` whether witnesses carry p.
 Source = Union[Index, "ChaseGraph"]
 # A key lookup (variable -> the values it is keyed to, or None), or None.
 Keys = Optional[Callable[[str], Optional[set]]]
-Plan = Callable[[Source, Keys], Rows]
 
 
 class _PatternPlan:
     """The rows of a triple pattern: the atoms of its predicate and arity
     that agree with its constants and repeated variables.  Over a chase, a
     pattern over a predicate that witnesses carry reads only the atoms at
-    the values of its keyed variable with the fewest values.  (One object
-    per pattern: a cached plan's closures would each add garbage-collected
-    cells.)"""
+    the values of its keyed variable with the fewest values."""
 
     __slots__ = ("predicate", "n", "out", "keyed", "consts", "repeats", "pick")
 
@@ -308,6 +306,12 @@ class _PatternPlan:
         )
 
 
+@lru_cache(maxsize=256)
+def _pattern(tp: TriplePattern) -> _PatternPlan:
+    """tp's reader, shared by every pattern equal to it."""
+    return _PatternPlan(tp)
+
+
 class _LeftValues:
     """The key lookup that a join passes to its right operand: a variable
     that every left row binds is keyed to its values there, any other to
@@ -331,53 +335,27 @@ class _LeftValues:
         return self.found[v]
 
 
-def _plan(q: Query) -> Plan:
-    """q compiled: a function from a source and a key lookup to q's rows."""
+def _eval(q: Query, source: Source, keys: Keys) -> Rows:
+    """q's rows over source under the key lookup `keys`."""
     if isinstance(q, TriplePattern):
-        return _PatternPlan(q)
-    if not isinstance(q, (UnionQ, JoinQ, OptQ)):
-        body, names = _plan(q.body), tuple(v.name for v in q.vars)
-
-        def select(source: Source, keys: Keys) -> Rows:
-            inner = keys and (lambda v: keys(v) if v in names else None)
-            return project(body(source, inner), names)
-
-        return select
-    left, right = _plan(q.left), _plan(q.right)
+        return _pattern(q)(source, keys)
+    if isinstance(q, Select):
+        names = tuple(v.name for v in q.vars)
+        inner = keys and (lambda v: keys(v) if v in names else None)
+        return project(_eval(q.body, source, inner), names)
+    left = _eval(q.left, source, keys)
     if isinstance(q, UnionQ):
-        return lambda source, keys: union(left(source, keys), right(source, keys))
+        return union(left, _eval(q.right, source, keys))
     if isinstance(q, JoinQ):
-
-        def join_plan(source: Source, keys: Keys) -> Rows:
-            l = left(source, keys)
-            return join(l, right(source, _LeftValues(l, keys)))
-
-        return join_plan
-
-    def opt(source: Source, keys: Keys) -> Rows:
-        l = left(source, keys)
-        r = right(source, _LeftValues(l, None))
-        return union(join(l, r), diff(l, r))
-
-    return opt
-
-
-# Each query's plan, compiled once.  Keyed by the query's identity, since
-# a lookup by value compares equal queries node by node; an entry holds the
-# query, so its id is not reused while the entry lives.
-_PLANS: dict[int, tuple[Query, Plan]] = {}
-_MAX_PLANS = 256
+        return join(left, _eval(q.right, source, _LeftValues(left, keys)))
+    right = _eval(q.right, source, _LeftValues(left, None))
+    return union(join(left, right), diff(left, right))
 
 
 def evaluate(q: Query, source: Source) -> Rows:
     """Standard compositional answers over an index or a chase, as slot
     rows."""
-    hit = _PLANS.get(id(q))
-    if hit is None or hit[0] is not q:
-        if len(_PLANS) >= _MAX_PLANS:
-            _PLANS.clear()
-        hit = _PLANS[id(q)] = (q, _plan(q))
-    return hit[1](source, None)
+    return _eval(q, source, None)
 
 
 def to_mappings(rows: Rows) -> MappingSet:

@@ -265,7 +265,9 @@ def active_domain(kb: KnowledgeBase) -> frozenset[Term]:
 # Tokens of the KB grammar, and of the text between them: whitespace (which
 # findall skips) and comments (which _Tokens drops).
 _TOKEN_RE = re.compile(r"\[=|[A-Za-z0-9_]+|[().,:]|\#[^\n]*")
-_WS = r"[ \t\r\n]+"
+# After a grammar's tokens, the rest of the text from the first character
+# that is neither whitespace nor the start of a token.
+_REST = r"|[^ \t\r\n][\s\S]*"
 
 
 class _Tokens:
@@ -276,10 +278,10 @@ class _Tokens:
     def __init__(self, text: str, token_re: re.Pattern):
         self.text = text
         self.token_re = token_re
-        scanned = re.match(f"(?:{_WS}|{token_re.pattern})*", text).end()
-        if scanned < len(text):
+        self.tokens: list[str] = re.findall(token_re.pattern + _REST, text)
+        if self.tokens and not token_re.fullmatch(self.tokens[-1]):
+            scanned = len(text) - len(self.tokens.pop())
             raise ParseError(f"unexpected character {text[scanned]!r}", *self._line_col(scanned))
-        self.tokens: list[str] = token_re.findall(text)
         if "#" in text:
             self.tokens = [t for t in self.tokens if t[0] != "#"]
         self.index = 0

@@ -16,7 +16,7 @@ SELECT, UNION, JOIN and OPT are reserved and cannot be used as predicates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Union
 
@@ -45,6 +45,10 @@ class _Node:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # the stored hash is of strings, which differ between processes
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import repeat
 from operator import is_
 
-from .chase import chase, default_bound, entailed_abox
+from .chase import ChaseGraph, chase, default_bound, entailed_abox
 from .errors import QueryShapeError
 from .kb import KnowledgeBase, Var
 # sparql_ans, sparql_ans_branch, join, diff, project and adm are unused
@@ -134,21 +134,21 @@ def er_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     return to_mappings(evaluate(q, entailed_abox(kb).index))
 
 
-def _canonical(q: Query, kb: KnowledgeBase, depth: int | None) -> Rows:
-    """The answers over the chase to the depth given or the default one."""
-    return evaluate(q, chase(kb, default_bound(kb, q) if depth is None else depth))
+def _chase(q: Query, kb: KnowledgeBase, depth: int | None) -> ChaseGraph:
+    """The chase to the depth given, or to q's default bound."""
+    return chase(kb, default_bound(kb, q) if depth is None else depth)
 
 
 def can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Answers over the canonical model, filtered to the active domain."""
-    rows = restrict_filter(_canonical(q, kb, depth), kb.encoded.adom)
+    rows = restrict_filter(evaluate(q, _chase(q, kb, depth)), kb.encoded.adom)
     return to_mappings(rows)
 
 
 def rest_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Answers over the canonical model, each projected onto its
     active-domain-valued bindings."""
-    rows = restrict_project(_canonical(q, kb, depth), kb.encoded.adom)
+    rows = restrict_project(evaluate(q, _chase(q, kb, depth)), kb.encoded.adom)
     return to_mappings(rows)
 
 
@@ -161,7 +161,7 @@ def m_can_ans_sjo(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Mapp
 
 def m_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
     """Maximal admissible canonical answers, per branch, for SUJO queries."""
-    cg = chase(kb, default_bound(kb, q) if depth is None else depth)
+    cg = _chase(q, kb, depth)
     full = evaluate(q, cg)
     out: set[tuple] = set()
     for qb in branch(q):

@@ -339,21 +339,36 @@ class TestDepthStability:
         q = parse_query(query)
         self._assert_stable(q, BRANCHING, 2 * default_bound(BRANCHING, q))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a witness at the bound has no children, so an OPT keeps the left row"
-        " that its missing s-child would extend; the canonical answer"
-        " alternates with the bound's parity"))
-    def test_an_opt_over_a_cyclic_tbox_at_consecutive_bounds(self):
+    @pytest.mark.parametrize("kb_text, query, name", [
+        pytest.param(
+            "TBOX: exists inv(r) [= exists s . exists inv(s) [= exists r . ABOX: r(a, b) .",
+            "SELECT{z}(OPT(JOIN(r(?x,?y), r(?x,?u)), s(?y,?z)))", "canonical",
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "a witness at the bound has no children, so an OPT keeps the left"
+                " row that its missing s-child would extend; the canonical answer"
+                " alternates with the bound's parity")),
+        ),
+        pytest.param(
+            "TBOX: A [= exists r . exists inv(r) [= exists s . exists inv(r) [= exists t ."
+            " exists inv(s) [= exists r . exists inv(t) [= exists r . exists inv(s) [= C ."
+            " C [= D . ABOX: A(a) . r(a, b) .",
+            "OPT(OPT(r(?x,?y), s(?y,?z)), r(?z,?v))", "restricted",
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "every raw row behind the answer {?v=b, ?z=a} at bound B holds a"
+                " witness at depth B, whose missing children the OPTs cannot see")),
+        ),
+    ], ids=["two-role-cycle-canonical", "branching-restricted"])
+    def test_an_opt_over_a_cyclic_tbox_at_consecutive_bounds(self, kb_text, query, name):
         """Twice the default bound has the default's parity, so the test
-        above cannot see this: `[]` at odd bounds, `[{}]` at even ones."""
-        kb = parse_kb(
-            "TBOX: exists inv(r) [= exists s . exists inv(s) [= exists r . ABOX: r(a, b) ."
-        )
-        q = parse_query("SELECT{z}(OPT(JOIN(r(?x,?y), r(?x,?u)), s(?y,?z)))")
-        canonical = SEMANTICS["canonical"]
+        above cannot see this.  The first KB gives `[]` at odd bounds and
+        `[{}]` at even ones; on the second, `BRANCHING` without `A ⊑ ¬B`,
+        the answers at B and B + 1 differ for every B from the default (10)
+        to 13."""
+        kb, q = parse_kb(kb_text), parse_query(query)
+        answers = SEMANTICS[name]
         start = default_bound(kb, q)
         for b in range(start, start + 4):
-            assert canonical(q, kb, b) == canonical(q, kb, b + 1), b
+            assert answers(q, kb, b) == answers(q, kb, b + 1), b
 
 
 class TestAnchoredChains:

@@ -1,12 +1,15 @@
 """Compositional query evaluation over plain graphs."""
 
+import gc
+import weakref
 from itertools import islice
 
 import pytest
 
 from conftest import load_kb, load_query, m, ms
 from sparqlkb.errors import QueryShapeError
-from sparqlkb.graph import Graph, sparql_ans, sparql_ans_branch
+from sparqlkb.chase import chase
+from sparqlkb.graph import Graph, evaluate, sparql_ans, sparql_ans_branch
 from sparqlkb.harness import SizeParams, brute_force_cq_matches, generate_instances
 from sparqlkb.kb import Atom, Var, individual, parse_kb
 from sparqlkb.mappings import extends, set_extends
@@ -88,6 +91,20 @@ class TestOperators:
         g = _graph("TBOX: ABOX: A(a) . r(a, b) .")
         q = UnionQ(TriplePattern("A", (X,)), TriplePattern("r", (X, Y)))
         assert sparql_ans(q, g) == ms(m(x="a"), m(x="a", y="b"))
+
+
+class TestEvaluate:
+    def test_a_query_is_garbage_once_evaluated(self):
+        """Evaluation shares a reader per triple pattern, and keeps no
+        query node alive past the call."""
+        kb = parse_kb("TBOX: A [= exists r . ABOX: A(a) . r(a, b) . s(b, c) .")
+        q = parse_query("OPT(JOIN(A(?x), r(?x, ?y)), SELECT{y}(s(?y, ?z)))")
+        ref = weakref.ref(q)
+        evaluate(q, kb.encoded.facts)
+        evaluate(q, chase(kb, 2))
+        del q
+        gc.collect()
+        assert ref() is None
 
 
 class TestBranchEvaluation:

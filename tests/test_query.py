@@ -1,7 +1,11 @@
 """Query AST, parser, and the static analyses (vars, adm, branch, base)."""
 
 import importlib
+import os
+import pickle
 import pkgutil
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -281,3 +285,26 @@ def test_a_node_hashes_without_hashing_its_children(monkeypatch):
         monkeypatch.setattr(cls, "__hash__", lambda node, h=cls.__hash__: calls.append(node) or h(node))
     hash(q)
     assert calls == [q]
+
+
+def test_a_node_pickles_across_processes(tmp_path):
+    """The stored hash is of strings, whose hashes differ between
+    processes, so a node is rebuilt through its constructor when loaded."""
+    text = "UNION(OPT(A(?x), r(?x,?y)), SELECT{x}(JOIN(B(?x), s(?x, c))))"
+    q = parse_query(text)
+    loaded = pickle.loads(pickle.dumps(q))
+    assert loaded == q and hash(loaded) == hash(q)
+    (tmp_path / "q.pickle").write_bytes(pickle.dumps(q))
+    check = (
+        "import pickle, sys\n"
+        "from sparqlkb.query import parse_query\n"
+        "q = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "print(q == parse_query(sys.argv[2]), q in {parse_query(sys.argv[2])})\n"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", check, str(tmp_path / "q.pickle"), text],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "True True\n"
