@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .chase import chase, model_bound
 from .errors import ParseError, QueryShapeError, SparqlKbError, UnsatisfiableKbError
+from .graph import Rows
 from .harness import (
     SizeParams,
     check_requirement,
@@ -19,7 +20,6 @@ from .harness import (
     generate_instances,
 )
 from .kb import KnowledgeBase, parse_kb, serialize_kb
-from .mappings import MappingSet, sort_mappings
 from .query import (
     Query,
     adm,
@@ -32,7 +32,7 @@ from .query import (
     query_vars,
     serialize_query,
 )
-from .semantics import SEMANTICS
+from .semantics import ROWS, SEMANTICS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,25 +49,25 @@ def _load_query(path: str) -> Query:
     return parse_query(Path(path).read_text(encoding="utf-8"))
 
 
-def _print_mappings(omega: MappingSet, fmt: str, out) -> None:
-    ordered = sort_mappings(omega)
+def _print_rows(rows: Rows, fmt: str, out) -> None:
+    """Print answer rows in the order of their bound (variable, kind, name)
+    triples, as Term orders them: an anonymous `_:` name before any
+    individual."""
+    bound = [
+        [(v, name) for v, name in zip(rows.vars, row) if name is not None] for row in rows.rows
+    ]
+    bound.sort(key=lambda pairs: [(v, not name.startswith("_:"), name) for v, name in pairs])
     if fmt == "json":
-        payload = [
-            {f"?{v.name}": str(t) for v, t in w.bindings} for w in ordered
-        ]
+        payload = [{f"?{v}": name for v, name in pairs} for pairs in bound]
         print(json.dumps(payload, sort_keys=True), file=out)
         return
-    out.write("".join(
-        "\t".join(f"?{v.name}={t.name}" for v, t in w.bindings) + "\n" for w in ordered
-    ))
+    out.write("".join("\t".join(f"?{v}={name}" for v, name in pairs) + "\n" for pairs in bound))
 
 
 def _cmd_eval(args, out) -> int:
     kb = _load_kb(args.kb)
     q = _load_query(args.query)
-    fn = SEMANTICS[args.semantics]
-    omega = fn(q, kb, args.depth)
-    _print_mappings(omega, args.format, out)
+    _print_rows(ROWS[args.semantics](q, kb, args.depth), args.format, out)
     return EXIT_OK
 
 

@@ -1,6 +1,6 @@
-"""Solution mappings: the public answer type, the extension order between
-answers and answer sets, and the order answers are printed in.  The answer
-algebra runs on slot rows (see graph.py and semantics.py)."""
+"""Solution mappings: the public answer type, and the extension order
+between answers and answer sets.  The answer algebra runs on slot rows
+(see graph.py and semantics.py)."""
 
 from __future__ import annotations
 
@@ -56,9 +56,3 @@ def extends(w1: SolutionMapping, w2: SolutionMapping) -> bool:
 def set_extends(omega1: MappingSet, omega2: MappingSet) -> bool:
     """Ω1 ⪯_g Ω2: every ω1 extends to some ω2 ∈ Ω2."""
     return all(any(extends(w1, w2) for w2 in omega2) for w1 in omega1)
-
-
-def sort_mappings(omega: MappingSet) -> list[SolutionMapping]:
-    """Deterministic order: lexicographic over the sorted binding pairs
-    (keyed on the fields that order Var and Term, which compare faster)."""
-    return sorted(omega, key=lambda w: [(v.name, t.kind, t.name) for v, t in w.bindings])

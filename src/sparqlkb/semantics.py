@@ -1,17 +1,19 @@
 """The six answer semantics, each a pure function of (query, KB).
 
-They run on the engine's slot rows (see graph.py) and build the public
-SolutionMappings once, for the rows they return.  Besides graph.py's ⋈, ∖,
-∪ and π, they use three operators of their own, defined below on slot rows:
-Ω ▷ B keeps the rows that range inside the term set B, Ω ▶ B unbinds every
-value outside B, and Ω ⊗ 𝒳 restricts each row to every maximal member of
-the variable-set family 𝒳 inside its domain.
+Each is defined once, as a function that returns the engine's slot rows
+(see graph.py).  `eval` prints those rows; only the library functions
+(`plain_ans`, ..., `SEMANTICS`) build SolutionMappings from them.  Besides
+graph.py's ⋈, ∖, ∪ and π, the semantics use three operators of their own,
+defined below on slot rows: Ω ▷ B keeps the rows that range inside the term
+set B, Ω ▶ B unbinds every value outside B, and Ω ⊗ 𝒳 restricts each row to
+every maximal member of the variable-set family 𝒳 inside its domain.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from operator import is_
+from typing import Callable
 
 from .chase import ChaseGraph, chase, default_bound, entailed_abox
 from .errors import QueryShapeError
@@ -84,9 +86,9 @@ def otimes(rows: Rows, family: VarSetFamily) -> Rows:
     return Rows(rows.vars, out)
 
 
-def plain_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
+def plain_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """SPARQL answers over the ABox viewed as a plain graph; TBox ignored."""
-    return to_mappings(evaluate(q, kb.encoded.facts))
+    return evaluate(q, kb.encoded.facts)
 
 
 def _cq_join_tree(q: Query) -> bool:
@@ -117,21 +119,21 @@ def is_ucq_shape(q: Query) -> bool:
     return len(seen_vars) == 1
 
 
-def cert_ans_ucq(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
+def cert_ucq_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Certain answers, via the canonical-model characterization; UCQs only."""
     if not is_ucq_shape(q):
         raise QueryShapeError("certain-answer semantics requires a UCQ-shaped query")
-    return can_ans(q, kb, depth)
+    return can_rows(q, kb, depth)
 
 
-def er_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
+def er_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Entailment-regime answers: certain answers at triple patterns, then
     the standard operator algebra.
 
     Chase atoms over named individuals are exactly the entailed ABox, so
     the certain answers to a triple pattern are its matches there.
     """
-    return to_mappings(evaluate(q, entailed_abox(kb).index))
+    return evaluate(q, entailed_abox(kb).index)
 
 
 def _chase(q: Query, kb: KnowledgeBase, depth: int | None) -> ChaseGraph:
@@ -139,27 +141,25 @@ def _chase(q: Query, kb: KnowledgeBase, depth: int | None) -> ChaseGraph:
     return chase(kb, default_bound(kb, q) if depth is None else depth)
 
 
-def can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
+def can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Answers over the canonical model, filtered to the active domain."""
-    rows = restrict_filter(evaluate(q, _chase(q, kb, depth)), kb.encoded.adom)
-    return to_mappings(rows)
+    return restrict_filter(evaluate(q, _chase(q, kb, depth)), kb.encoded.adom)
 
 
-def rest_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
+def rest_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Answers over the canonical model, each projected onto its
     active-domain-valued bindings."""
-    rows = restrict_project(evaluate(q, _chase(q, kb, depth)), kb.encoded.adom)
-    return to_mappings(rows)
+    return restrict_project(evaluate(q, _chase(q, kb, depth)), kb.encoded.adom)
 
 
-def m_can_ans_sjo(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
+def m_can_sjo_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Maximal admissible canonical answers for UNION-free queries."""
     if not is_union_free(q):
         raise QueryShapeError("SJO semantics requires a UNION-free query")
-    return m_can_ans(q, kb, depth)
+    return m_can_rows(q, kb, depth)
 
 
-def m_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
+def m_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Maximal admissible canonical answers, per branch, for SUJO queries."""
     cg = _chase(q, kb, depth)
     full = evaluate(q, cg)
@@ -183,8 +183,39 @@ def m_can_ans(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingS
             )
         )
         out.update(otimes(restricted, family).rows)
-    return to_mappings(Rows(full.vars, out))
+    return Rows(full.vars, out)
 
+
+ROWS = {
+    "plain": plain_rows,
+    "certain-ucq": cert_ucq_rows,
+    "regime": er_rows,
+    "canonical": can_rows,
+    "restricted": rest_can_rows,
+    "mcan": m_can_rows,
+}
+"""Each semantics by name, as slot rows; `eval` prints these."""
+
+
+def _public(rows: Callable[..., Rows], name: str) -> Callable[..., MappingSet]:
+    """The library form of a row semantics: the same arguments, and its
+    answers as SolutionMappings."""
+
+    def answers(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
+        return to_mappings(rows(q, kb, depth))
+
+    answers.__name__ = answers.__qualname__ = name
+    answers.__doc__ = rows.__doc__
+    return answers
+
+
+plain_ans = _public(plain_rows, "plain_ans")
+cert_ans_ucq = _public(cert_ucq_rows, "cert_ans_ucq")
+er_ans = _public(er_rows, "er_ans")
+can_ans = _public(can_rows, "can_ans")
+rest_can_ans = _public(rest_can_rows, "rest_can_ans")
+m_can_ans = _public(m_can_rows, "m_can_ans")
+m_can_ans_sjo = _public(m_can_sjo_rows, "m_can_ans_sjo")
 
 SEMANTICS = {
     "plain": plain_ans,

@@ -4,8 +4,11 @@ engine computed them before it ran on slot rows.  Join and difference check
 every pair of rows, so nothing here shares the engine's hash partition.
 
 `materialized` is the engine's own evaluation over the materialized chase,
-as it ran before it read the chase on demand."""
+as it ran before it read the chase on demand.  `print_mappings` is `eval`'s
+printer as it ran before it printed slot rows: over SolutionMappings, in
+`sort_mappings` order."""
 
+import json
 from unittest import mock
 
 import sparqlkb.semantics
@@ -204,3 +207,23 @@ def materialized(fn, q, kb):
 
     with mock.patch.object(sparqlkb.semantics, "chase", materialized_chase):
         return fn(q, kb), bounds
+
+
+def sort_mappings(omega):
+    """Deterministic order: lexicographic over the sorted binding pairs
+    (keyed on the fields that order Var and Term, which compare faster)."""
+    return sorted(omega, key=lambda w: [(v.name, t.kind, t.name) for v, t in w.bindings])
+
+
+def print_mappings(omega, fmt, out):
+    """Ω printed as `eval` prints it, in `fmt` ("tsv" or "json")."""
+    ordered = sort_mappings(omega)
+    if fmt == "json":
+        payload = [
+            {f"?{v.name}": str(t) for v, t in w.bindings} for w in ordered
+        ]
+        print(json.dumps(payload, sort_keys=True), file=out)
+        return
+    out.write("".join(
+        "\t".join(f"?{v.name}={t.name}" for v, t in w.bindings) + "\n" for w in ordered
+    ))

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import FIXTURES, join_chain
 from sparqlkb import SEMANTICS
-from sparqlkb.kb import Atom
+from sparqlkb.kb import Atom, Term
 from sparqlkb.mappings import SolutionMapping
 from sparqlkb.cli import (
     EXIT_OK,
@@ -92,9 +92,10 @@ class TestEval:
 
 
 class TestBoundary:
-    """The engine runs on names and slot rows: one request builds the
-    public types only for the rows it prints.  The parser builds the
-    ABox's name index, and no Atom of it."""
+    """The engine runs on names and slot rows, and `eval` prints the slot
+    rows: an eval request builds no public type.  The parser builds the
+    ABox's name index, and no Atom of it; the printer writes the names in
+    the rows, and no Term or SolutionMapping of them."""
 
     def test_one_request_builds_public_types_only_at_the_boundary(
         self, tmp_path, monkeypatch
@@ -116,7 +117,7 @@ class TestBoundary:
         )
         q = tmp_path / "teaching.sq"
         q.write_text("SELECT{x,z}( OPT( teachesTo(?x, ?y), knows(?y, ?z) ) )\n")
-        built = {Atom: 0, SolutionMapping: 0}
+        built = {Atom: 0, SolutionMapping: 0, Term: 0}
         for cls in built:
             check = cls.__post_init__
 
@@ -131,8 +132,7 @@ class TestBoundary:
         assert code == EXIT_OK
         rows = text.count("\n")
         assert rows > 200
-        assert built[SolutionMapping] <= rows
-        assert built[Atom] == 0
+        assert built == {Atom: 0, SolutionMapping: 0, Term: 0}
 
 
 class TestChase:

@@ -15,7 +15,6 @@ from sparqlkb.mappings import (
     compatible,
     extends,
     set_extends,
-    sort_mappings,
 )
 from sparqlkb.semantics import otimes, restrict_filter, restrict_project
 
@@ -317,8 +316,3 @@ class TestOtimes:
     def test_matches_the_reference(self, operand, family):
         omega, rows = operand
         assert to_mappings(otimes(rows, family)) == reference.otimes(omega, family)
-
-
-def test_sort_mappings_is_deterministic():
-    omega = ms(m(x="b"), m(x="a", y="c"), m())
-    assert sort_mappings(omega) == [m(), m(x="a", y="c"), m(x="b")]
