@@ -385,11 +385,16 @@ class ChaseGraph:
         return found
 
 
-def _build_chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
+def _consistent_model(kb: KnowledgeBase) -> _Model:
+    """The KB's model; raises UnsatisfiableKbError if the KB is inconsistent."""
     model = _model(kb)
     if not model.consistent:
         raise UnsatisfiableKbError("knowledge base is unsatisfiable")
-    return ChaseGraph(model, bound)
+    return model
+
+
+def _build_chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
+    return ChaseGraph(_consistent_model(kb), bound)
 
 
 @lru_cache(maxsize=8)
@@ -436,7 +441,4 @@ def is_satisfiable(kb: KnowledgeBase) -> bool:
 
 def entailed_abox(kb: KnowledgeBase) -> Graph:
     """All atoms over the active domain entailed by the KB."""
-    model = _model(kb)
-    if not model.consistent:
-        raise UnsatisfiableKbError("knowledge base is unsatisfiable")
-    return Graph.of_index(model.index)
+    return Graph.of_index(_consistent_model(kb).index)

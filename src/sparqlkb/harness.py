@@ -37,6 +37,7 @@ from .query import (
     adm,
     query_vars,
     serialize_query,
+    union_operands,
 )
 from .semantics import SEMANTICS, is_ucq_shape
 
@@ -76,73 +77,55 @@ def _try_semantics(name: str, q: Query, kb: KnowledgeBase) -> MappingSet | None:
 def check_requirement(
     req_id: int, semantics_name: str, q: Query, kb: KnowledgeBase, instance: str = ""
 ) -> CheckReport:
-    """Evaluate one of the five requirements for one semantics on one instance."""
+    """Evaluate one of the five requirements for one semantics on one instance.
+
+    Each requirement is the set of answers that break it (see `_offending`),
+    or None where it does not apply: the verdict is pass if that set is empty,
+    else fail with the set, sorted by bindings, as counterexamples."""
     if req_id not in range(1, 6):
         raise ValueError(f"requirement id must be in 1..5, got {req_id}")
-
-    def report(verdict: str, counterexamples: tuple = ()) -> CheckReport:
-        return CheckReport(req_id, semantics_name, instance, verdict, counterexamples)
-
     answers = _try_semantics(semantics_name, q, kb)
-    if answers is None:
-        return report("not-applicable")
+    bad = None if answers is None else _offending(req_id, semantics_name, q, kb, answers)
+    if bad is None:
+        return CheckReport(req_id, semantics_name, instance, "not-applicable")
+    counterexamples = tuple(sorted(bad, key=lambda w: w.bindings))
+    verdict = "fail" if counterexamples else "pass"
+    return CheckReport(req_id, semantics_name, instance, verdict, counterexamples)
 
-    def compare(expected: MappingSet) -> CheckReport:
-        """pass if the answers are `expected`, else fail with the difference."""
-        if answers == expected:
-            return report("pass")
-        return report("fail", tuple(sorted(answers ^ expected, key=lambda w: w.bindings)))
 
+def _offending(
+    req_id: int, name: str, q: Query, kb: KnowledgeBase, answers: MappingSet
+) -> MappingSet | None:
+    """The answers that break requirement `req_id`, or None where it does not
+    apply.  1 and 2: the symmetric difference with the certain answers (UCQs)
+    or the plain answers (empty TBox).  3: the answers of an OPT's left operand
+    that no answer extends.  4: the answers whose domain is not admissible.
+    5: the answers of a UNION that one operand does not give and whose domain
+    the other does not admit."""
     if req_id == 1:
-        if not is_ucq_shape(q):
-            return report("not-applicable")
-        return compare(_try_semantics("certain-ucq", q, kb))
-
+        return answers ^ _try_semantics("certain-ucq", q, kb) if is_ucq_shape(q) else None
     if req_id == 2:
-        if kb.tbox:
-            return report("not-applicable")
-        return compare(_try_semantics("plain", q, kb))
-
-    if req_id == 3:
-        if not isinstance(q, OptQ):
-            return report("not-applicable")
-        left = _try_semantics(semantics_name, q.left, kb)
-        if left is None:
-            return report("not-applicable")
-        stranded = tuple(
-            sorted(
-                (w for w in left if not any(extends(w, w2) for w2 in answers)),
-                key=lambda w: w.bindings,
-            )
-        )
-        return report("pass") if not stranded else report("fail", stranded)
-
+        return None if kb.tbox else answers ^ _try_semantics("plain", q, kb)
     if req_id == 4:
         family = adm(q)
-        bad = tuple(
-            sorted(
-                (w for w in answers if w.domain not in family),
-                key=lambda w: w.bindings,
-            )
-        )
-        return report("pass") if not bad else report("fail", bad)
-
-    # Requirement 5: binding provenance across a top-level UNION.
+        return {w for w in answers if w.domain not in family}
+    if req_id == 3:
+        left = _try_semantics(name, q.left, kb) if isinstance(q, OptQ) else None
+        return None if left is None else {
+            w for w in left if not any(extends(w, w2) for w2 in answers)
+        }
     if not isinstance(q, UnionQ):
-        return report("not-applicable")
-    a1 = _try_semantics(semantics_name, q.left, kb)
-    a2 = _try_semantics(semantics_name, q.right, kb)
+        return None
+    a1 = _try_semantics(name, q.left, kb)
+    a2 = _try_semantics(name, q.right, kb)
     if a1 is None or a2 is None:
-        return report("not-applicable")
+        return None
     adm_left, adm_right = adm(q.left), adm(q.right)
-    bad = []
-    for w in answers:
-        if w not in a2 and w.domain not in adm_left:
-            bad.append(w)
-        if w not in a1 and w.domain not in adm_right:
-            bad.append(w)
-    bad_t = tuple(sorted(set(bad), key=lambda w: w.bindings))
-    return report("pass") if not bad_t else report("fail", bad_t)
+    return {
+        w for w in answers
+        if (w not in a2 and w.domain not in adm_left)
+        or (w not in a1 and w.domain not in adm_right)
+    }
 
 
 # --- brute-force oracles ----------------------------------------------------
@@ -181,17 +164,8 @@ def brute_force_cq_matches(cq: Query, g: Graph) -> MappingSet:
     if not is_ucq_shape(cq):
         raise QueryShapeError("oracle requires a UCQ-shaped query")
 
-    cqs: list[Query] = []
-    stack = [cq]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, UnionQ):
-            stack.extend((node.left, node.right))
-        else:
-            cqs.append(node)
-
     out: set[SolutionMapping] = set()
-    for conj in cqs:
+    for conj in union_operands(cq):
         if isinstance(conj, Select):
             distinguished = conj.vars
             body = conj.body
@@ -350,27 +324,14 @@ def _random_query(
     if nesting <= 0 or tp_budget <= 1 or rng.random() < 0.3:
         return _random_pattern(rng, p, vars_pool)
     roll = rng.random()
-    if roll < 0.30:
+    if roll < 0.55 or (roll < 0.75 and not union_free):
+        op = OptQ if roll < 0.30 else JoinQ if roll < 0.55 else UnionQ
         left_budget = max(1, tp_budget // 2)
         left = _random_query(rng, p, nesting - 1, left_budget, vars_pool, union_free)
         right = _random_query(
             rng, p, nesting - 1, tp_budget - left_budget, vars_pool, union_free
         )
-        return OptQ(left, right)
-    if roll < 0.55:
-        left_budget = max(1, tp_budget // 2)
-        return JoinQ(
-            _random_query(rng, p, nesting - 1, left_budget, vars_pool, union_free),
-            _random_query(
-                rng, p, nesting - 1, tp_budget - left_budget, vars_pool, union_free
-            ),
-        )
-    if roll < 0.75 and not union_free:
-        left_budget = max(1, tp_budget // 2)
-        return UnionQ(
-            _random_query(rng, p, nesting - 1, left_budget, vars_pool),
-            _random_query(rng, p, nesting - 1, tp_budget - left_budget, vars_pool),
-        )
+        return op(left, right)
     body = _random_query(rng, p, nesting - 1, tp_budget, vars_pool, union_free)
     body_vars = sorted(query_vars(body))
     picked = frozenset(v for v in body_vars if rng.random() < 0.6)
@@ -420,8 +381,6 @@ def generate_instances(
             continue
         if jo_only:
             q = _random_query(rng, p, p.max_nesting, p.max_triple_patterns, vars_pool, union_free=True)
-            while isinstance(q, Select):
-                q = q.body
             q = _strip_select(q)
         elif rng.random() < 0.2:
             q = _random_ucq(rng, p, vars_pool)

@@ -10,7 +10,8 @@ The ASCII surface syntax (UTF-8, ``#`` comments, ``.``-terminated statements):
 
 A bare ``X [= Y .`` is ambiguous between a concept and a role inclusion; it is
 read as a role inclusion iff at least one side is used as a role elsewhere in
-the file (in an ``exists``/``inv``, a binary fact, or another role inclusion).
+the file (in an ``exists``/``inv``, a binary fact, or another role inclusion),
+wherever in the file that use is.
 """
 
 from __future__ import annotations
@@ -334,14 +335,17 @@ def _parse_individual(toks: _Tokens) -> str:
     return value
 
 
+def _parse_inv(toks: _Tokens) -> RoleExpr:
+    """The rest of ``inv ( RoleName )``, once ``inv`` has been read."""
+    toks.next("(")
+    inner = _parse_name(toks, "role name")
+    toks.next(")")
+    return RoleExpr(inner, inverse=True)
+
+
 def _parse_role_expr(toks: _Tokens) -> RoleExpr:
     name = _parse_name(toks, "role name")
-    if name == "inv":
-        toks.next("(")
-        inner = _parse_name(toks, "role name")
-        toks.next(")")
-        return RoleExpr(inner, inverse=True)
-    return RoleExpr(name)
+    return _parse_inv(toks) if name == "inv" else RoleExpr(name)
 
 
 def _parse_side(toks: _Tokens):
@@ -353,12 +357,7 @@ def _parse_side(toks: _Tokens):
     name = _parse_name(toks, "concept or role")
     if name == "exists":
         return exists(_parse_role_expr(toks))
-    if name == "inv":
-        toks.next("(")
-        inner = _parse_name(toks, "role name")
-        toks.next(")")
-        return RoleExpr(inner, inverse=True)
-    return name
+    return _parse_inv(toks) if name == "inv" else name
 
 
 def _read_fact(toks: _Tokens) -> tuple[str, tuple[str, ...]]:
@@ -433,23 +432,29 @@ def parse_kb(text: str) -> KnowledgeBase:
     start = toks.index
     unary, binary = _parse_facts(toks)
 
-    # Vocabulary inference for the ambiguous bare-name inclusions.
+    # Vocabulary inference for the ambiguous bare-name inclusions, decided
+    # before any axiom is built, so that the order of the axioms does not
+    # matter.  Role evidence (binary facts, names under exists/inv) spreads to
+    # a fixpoint across the bare inclusions, those with no `not` and no basic
+    # concept side.  A name with concept evidence takes none: the inclusion
+    # that links it to a role reports the clash.
     roles: set[str] = set(binary)
     concepts: set[str] = set(unary)
+    linked: dict[str, list[str]] = {}
     for lhs, negated, rhs, _ in raw_axioms:
-        for side in (lhs, rhs):
-            if isinstance(side, RoleExpr):
-                roles.add(side.name)
-            elif isinstance(side, BasicConcept) and side.kind != "atomic":
-                roles.add(side.name)
-        if negated:
-            for side in (lhs, rhs):
-                if isinstance(side, str):
-                    concepts.add(side)
-        if isinstance(lhs, BasicConcept) and isinstance(rhs, str):
-            concepts.add(rhs)
-        if isinstance(rhs, BasicConcept) and isinstance(lhs, str):
-            concepts.add(lhs)
+        roles.update(s.name for s in (lhs, rhs) if not isinstance(s, str))
+        if negated or isinstance(lhs, BasicConcept) or isinstance(rhs, BasicConcept):
+            concepts.update(s for s in (lhs, rhs) if isinstance(s, str))
+        else:
+            a, b = (s if isinstance(s, str) else s.name for s in (lhs, rhs))
+            linked.setdefault(a, []).append(b)
+            linked.setdefault(b, []).append(a)
+    stack = list(roles)
+    while stack:
+        for name in linked.pop(stack.pop(), ()):
+            if name not in roles and name not in concepts:
+                roles.add(name)
+                stack.append(name)
 
     axioms: list[TBoxAxiom] = []
     for lhs, negated, rhs, at in raw_axioms:
@@ -469,13 +474,11 @@ def parse_kb(text: str) -> KnowledgeBase:
                 else:
                     toks.fail("role inclusion cannot mix concepts and roles", at)
             axioms.append(RoleInclusion(sides[0], sides[1]))
-            roles.update(s.name for s in sides)
         else:
             sides = []
             for s in (lhs, rhs):
                 if isinstance(s, str):
                     sides.append(BasicConcept("atomic", s))
-                    concepts.add(s)
                 elif isinstance(s, BasicConcept):
                     sides.append(s)
                 else:

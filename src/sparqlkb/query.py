@@ -117,6 +117,14 @@ def triple_pattern_count(q: Query) -> int:
     return triple_pattern_count(q.left) + triple_pattern_count(q.right)
 
 
+def union_operands(q: Query) -> list[Query]:
+    """The operands of q's top-level UNION tree, left to right; [q] if q is
+    not a UNION."""
+    if isinstance(q, UnionQ):
+        return union_operands(q.left) + union_operands(q.right)
+    return [q]
+
+
 def is_jo(q: Query) -> bool:
     """True iff q uses only triple patterns, JOIN and OPT."""
     if isinstance(q, TriplePattern):

@@ -38,7 +38,6 @@ from .query import (
     Query,
     Select,
     TriplePattern,
-    UnionQ,
     VarSet,
     VarSetFamily,
     adm,
@@ -46,6 +45,7 @@ from .query import (
     is_union_free,
     max_admissible_subsets,
     query_vars,
+    union_operands,
 )
 
 
@@ -100,20 +100,9 @@ def _cq_join_tree(q: Query) -> bool:
 def is_ucq_shape(q: Query) -> bool:
     """UNION of CQs (SELECT over a JOIN tree of triple patterns) sharing
     the same distinguished variables."""
-    cqs = []
-    stack = [q]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, UnionQ):
-            stack.extend((node.left, node.right))
-        else:
-            cqs.append(node)
     seen_vars = set()
-    for cq in cqs:
-        if isinstance(cq, Select):
-            if not _cq_join_tree(cq.body):
-                return False
-        elif not _cq_join_tree(cq):
+    for cq in union_operands(q):
+        if not _cq_join_tree(cq.body if isinstance(cq, Select) else cq):
             return False
         seen_vars.add(query_vars(cq))
     return len(seen_vars) == 1

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import random
 import subprocess
 import sys
 from itertools import islice
@@ -139,6 +140,51 @@ class TestParsing:
     def test_comments_and_whitespace_ignored(self):
         kb = parse_kb("# header\nTBOX:\n# none\nABOX:\nA(a) .  # trailing\n")
         assert kb.abox == frozenset({Atom("A", (individual("a"),))})
+
+
+class TestRoleInference:
+    """A bare inclusion is a role inclusion iff role evidence reaches one of
+    its sides, whatever the order of the axioms."""
+
+    INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+    @pytest.mark.parametrize("tbox", ["X [= Y . Y [= Z .", "Y [= Z . X [= Y ."])
+    def test_role_evidence_spreads_in_either_order(self, tbox):
+        kb = parse_kb(f"TBOX: {tbox} ABOX: X(a, b) .")
+        assert kb.tbox == frozenset(
+            {RoleInclusion(RoleExpr("X"), RoleExpr("Y")),
+             RoleInclusion(RoleExpr("Y"), RoleExpr("Z"))}
+        )
+
+    def test_a_chain_of_role_inclusions_round_trips(self):
+        a, b, c = RoleExpr("a"), RoleExpr("b"), RoleExpr("c")
+        x, y = individual("x"), individual("y")
+        kb = KnowledgeBase(
+            frozenset({RoleInclusion(a, b), RoleInclusion(b, c)}),
+            frozenset({Atom("c", (x, y))}),
+        )
+        assert parse_kb(serialize_kb(kb)) == kb
+
+    @pytest.mark.parametrize(
+        "name", ["teaching.kb", "branching.kb", "kb_concept_and_role.kb", "chain"]
+    )
+    def test_shuffled_axioms_give_one_outcome(self, name):
+        if name == "chain":
+            text = "TBOX: a [= b . b [= c . c [= inv(d) . e [= a . ABOX: A(x) ."
+        else:
+            lines = (self.INPUTS / name).read_text(encoding="utf-8").splitlines()
+            text = " ".join(line for line in lines if not line.lstrip().startswith("#"))
+        tbox, abox = text.split("TBOX:")[1].split("ABOX:")
+        statements = [st.strip() for st in tbox.split(".") if st.strip()]
+        outcomes = set()
+        for seed in range(20):
+            random.Random(seed).shuffle(statements)
+            shuffled = "TBOX: " + " ".join(f"{st} ." for st in statements) + " ABOX: " + abox
+            try:
+                outcomes.add(parse_kb(shuffled))
+            except ParseError:
+                outcomes.add(ParseError)
+        assert len(outcomes) == 1, outcomes
 
 
 class TestSerialization:
