@@ -7,10 +7,13 @@ a trailing ``-`` on a path segment marks an inverse-role step.
 
 The chase is type-based: a named individual's type comes from the saturated
 ABox, and a witness created through role r has the type closure(∃r⁻), since
-its only edges are r and r's super-roles from its parent.  `_model` derives
-the entailed ABox, these types, one record per witness role of the atoms it
-adds, and the consistency verdict once per KB; the chase, witness counts,
-satisfiability and the entailed ABox all read it.
+its only edges are r and r's super-roles from its parent.  Both depend on
+the TBox alone (an individual's through the predicates of its facts), so
+the types and the witness records are derived once per saturated TBox and
+shared by every KB over it.  `_model` derives the model once per KB: the
+entailed ABox, the witness records its named types reach, and the
+consistency verdict; the chase, witness counts, satisfiability and the
+entailed ABox all read it.
 A chase is read on demand: query evaluation walks the type graph from the
 elements a pattern is keyed to, and the chase is unfolded to its bound only
 when it is read whole.
@@ -47,6 +50,10 @@ class SaturatedTBox:
     # and each basic concept's implied concepts, both reflexive.
     supers: dict[RoleExpr, tuple[RoleExpr, ...]] = field(compare=False, repr=False)
     implied: dict[BasicConcept, frozenset[BasicConcept]] = field(compare=False, repr=False)
+    # Types derived from this TBox alone, filled by `_model`: signature ->
+    # _Type, and role r -> the _Type and the _Witness of r's witnesses.
+    signature_types: dict = field(default_factory=dict, compare=False, repr=False)
+    witnesses: dict = field(default_factory=dict, compare=False, repr=False)
 
     def super_roles(self, r: RoleExpr) -> tuple[RoleExpr, ...]:
         return self.supers.get(r, ())
@@ -214,20 +221,58 @@ class _Model(NamedTuple):
         return self.args[p, pos]
 
 
+def _signature_type(sat: SaturatedTBox, key: frozenset) -> _Type:
+    """The type of the individuals whose facts' predicates are key: unary
+    predicate names, and (p, inverse) for their edges of p."""
+    memo = sat.signature_types
+    typ = memo.get(key)
+    if typ is None:
+        if len(memo) >= _SIGNATURE_TYPES:
+            del memo[next(iter(memo))]
+        satisfied = set()
+        for k in key:
+            if isinstance(k, str):
+                satisfied.add(BasicConcept("atomic", k))
+            else:
+                r = RoleExpr(*k)
+                satisfied.update(exists(s) for s in sat.super_roles(r) or (r,))
+        typ = memo[key] = _type(satisfied, sat)
+    return typ
+
+
+def _witness(sat: SaturatedTBox, r: RoleExpr) -> tuple[_Type, _Witness]:
+    """The type and the record of the witnesses created through r."""
+    found = sat.witnesses.get(r)
+    if found is None:
+        typ = _type({exists(s.inverted()) for s in sat.super_roles(r)}, sat)
+        edges = tuple((s.name, s.inverse) for s in sat.super_roles(r))
+        record = _Witness(edges, typ.atomic, tuple(map(_segment, typ.fire)))
+        found = sat.witnesses[r] = (typ, record)
+    return found
+
+
 # Small caches, here and on `chase`: a request rarely reuses another's KB,
 # and every entry keeps a whole model alive, which lengthens full garbage
-# collections.
+# collections.  The types live with the saturated TBox and die with
+# `saturate`'s entry: at most _SIGNATURE_TYPES signature types per TBox, the
+# oldest evicted first (a signature can name ABox-only predicates), and one
+# witness entry per role expression of the TBox, 2·|roles|.
+_SIGNATURE_TYPES = 512
+
+
 @lru_cache(maxsize=8)
 def _model(kb: KnowledgeBase) -> _Model:
-    """Everything the chase and satisfiability read, derived once per KB.
+    """The model of a KB, derived once per KB from the types of its TBox.
 
     An individual's satisfied concepts come from its facts: its unary
     predicates, and ∃s for every super-role s of the role of each of its
     edges (which role saturation materializes).  Individuals with the same
     facts' predicates share one type.  A witness created through r has the
     type closure(∃r⁻), since its edge from its parent is saturated to every
-    super-role of r; `witness` holds the record of its witnesses for every
-    role reachable from the named types through fired roles.
+    super-role of r.  Those types come from the saturated TBox; what
+    depends on the KB is derived here: the entailed ABox, `witness`, the
+    records of every role reachable from the named types through fired
+    roles, and `carried` and `consistent`, read off the types reached.
     """
     sat = saturate(kb.tbox)
     facts = kb.encoded.facts
@@ -251,23 +296,13 @@ def _model(kb: KnowledgeBase) -> _Model:
             else:
                 edges.update(binary)
 
-    def satisfied(key) -> set[BasicConcept]:
-        basics = set()
-        for k in key:
-            if isinstance(k, str):
-                basics.add(BasicConcept("atomic", k))
-            else:
-                r = RoleExpr(*k)
-                basics.update(exists(s) for s in sat.super_roles(r) or (r,))
-        return basics
-
     groups: dict[frozenset, list[str]] = {}
     for t, key in signature.items():
         groups.setdefault(frozenset(key), []).append(t)
     fire: dict[str, tuple[str, ...]] = {}
     reached = []
     for key, members in groups.items():
-        typ = _type(satisfied(key), sat)
+        typ = _signature_type(sat, key)
         reached.append(typ)
         fire.update(dict.fromkeys(members, tuple(map(_segment, typ.fire))))
         for a in typ.atomic:
@@ -279,11 +314,9 @@ def _model(kb: KnowledgeBase) -> _Model:
         r = pending.pop()
         segment = _segment(r)
         if segment not in witness:
-            wtype = _type({exists(s.inverted()) for s in sat.super_roles(r)}, sat)
+            wtype, witness[segment] = _witness(sat, r)
             reached.append(wtype)
             pending.extend(wtype.fire)
-            edges = tuple((s.name, s.inverse) for s in sat.super_roles(r))
-            witness[segment] = _Witness(edges, wtype.atomic, tuple(map(_segment, wtype.fire)))
     carried = {a for w in witness.values() for a in w.atomic}
     carried.update(p for w in witness.values() for p, _ in w.edges)
     consistent = not any(typ.clash for typ in reached)

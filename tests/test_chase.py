@@ -123,6 +123,19 @@ def _random_tbox(rng: random.Random) -> frozenset:
     return frozenset(tbox)
 
 
+def _count_types(monkeypatch) -> list:
+    """Records every type derived from here on, with the `saturate` and
+    `_model` caches cleared."""
+    derived = []
+    derive = chase_module._type
+    monkeypatch.setattr(
+        chase_module, "_type", lambda *args: derived.append(args) or derive(*args)
+    )
+    saturate.cache_clear()
+    chase_module._model.cache_clear()
+    return derived
+
+
 class TestClosure:
     def test_one_search_per_node_equals_the_fixpoint(self, monkeypatch):
         tboxes = [_random_tbox(random.Random(seed)) for seed in range(500)]
@@ -242,18 +255,14 @@ class TestChase:
         """Satisfiability, witness counts, chases and the entailed ABox of a
         KB read one model: its types are derived once, and no chase extends
         the entailed ABox that the model holds."""
-        derived = []
-        derive = chase_module._type
-        monkeypatch.setattr(
-            chase_module, "_type", lambda *args: derived.append(args) or derive(*args)
-        )
+        derived = _count_types(monkeypatch)
         chase.cache_clear()
-        chase_module._model.cache_clear()
         kb = parse_kb(
             "TBOX: A [= exists r . exists inv(r) [= A . A [= not C . ABOX: A(a) . C(b) ."
         )
         assert is_satisfiable(kb)
         types = len(derived)
+        assert types > 0
         assert (witness_count(kb, 2), witness_count(kb, 4)) == (2, 4)
         assert (len(chase(kb, 2).depth_of), len(chase(kb, 4).depth_of)) == (2, 4)
         assert sorted(str(a) for a in entailed_abox(kb)) == ["A(a)", "C(b)"]
@@ -298,6 +307,96 @@ BRANCHING = parse_kb(
     " exists inv(s) [= exists r . exists inv(t) [= exists r . exists inv(s) [= C ."
     " C [= D . A [= not B . ABOX: A(a) ."
 )
+
+
+def _branching_abox(names: str) -> frozenset[Atom]:
+    """An ABox over `BRANCHING`'s predicates, its five individuals named by
+    the letters of names: renamings of it have the same signatures."""
+    a, b, c, d, e = (individual(n) for n in names)
+    return frozenset({
+        Atom("A", (a,)), Atom("A", (b,)), Atom("B", (c,)),
+        Atom("r", (a, c)), Atom("r", (b, d)), Atom("s", (d, e)),
+    })
+
+
+class TestTypesPerTBox:
+    """The types and witness records are derived once per saturated TBox
+    and shared by the KBs over it; each KB's model is its own."""
+
+    def test_a_renamed_abox_derives_no_type(self, monkeypatch):
+        derived = _count_types(monkeypatch)
+        first = KnowledgeBase(BRANCHING.tbox, _branching_abox("abcde"))
+        second = KnowledgeBase(BRANCHING.tbox, _branching_abox("vwxyz"))
+        assert is_satisfiable(first)
+        assert derived
+        derived.clear()
+        assert is_satisfiable(second)
+        assert derived == []
+        assert witness_count(second, 9) == witness_count(first, 9) > 0
+
+    def test_the_signature_memo_is_bounded(self, monkeypatch):
+        """More distinct signatures than the cap, over one TBox: each
+        individual has its own ABox-only predicate."""
+        cap = chase_module._SIGNATURE_TYPES
+        derived = _count_types(monkeypatch)
+        names = [f"i{n}" for n in range(cap + 10)]
+        atoms = {Atom(f"P{n}", (individual(name),)) for n, name in enumerate(names)}
+        atoms.update(Atom("A", (individual(name),)) for name in names[::2])
+        kb = KnowledgeBase(BRANCHING.tbox, frozenset(atoms))
+        assert is_satisfiable(kb)
+        assert len(derived) > cap
+        sat = saturate(kb.tbox)
+        assert len(sat.signature_types) == cap
+        assert len(sat.witnesses) <= 2 * len(sat.role_names)
+        fire = chase_module._model(kb).fire
+        assert [fire[name] for name in names] == [("r",), ()] * ((cap + 10) // 2)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_clash_one_kb_reaches_leaves_another_satisfiable(self, first):
+        """The witnesses made through r hold the disjoint B and C: a KB
+        with an A-individual reaches them, one without does not."""
+        tbox = parse_kb(
+            "TBOX: A [= exists r . exists inv(r) [= B . exists inv(r) [= C . B [= not C ."
+            " ABOX: D(d) ."
+        ).tbox
+        kbs = [
+            KnowledgeBase(tbox, frozenset({Atom("A", (individual("a"),))})),
+            KnowledgeBase(tbox, frozenset({Atom("D", (individual("d"),))})),
+        ]
+        saturate.cache_clear()
+        chase_module._model.cache_clear()
+        verdicts = {i: is_satisfiable(kbs[i]) for i in (first, 1 - first)}
+        assert verdicts == {0: False, 1: True}
+        assert [chase_module._model(kb).witness.keys() for kb in kbs] == [{"r"}, set()]
+
+    def test_models_equal_a_derivation_with_empty_caches(self):
+        """The slow oracle: each generated TBox over its own ABox and the
+        next two instances' ABoxes, so that three KBs share its types.  The
+        models read with the types the earlier KBs left equal the models
+        derived with `saturate` and `_model` cleared."""
+        kbs = [
+            kb
+            for seed in (3, 7, 606)
+            for kb, _ in islice(generate_instances(seed, SizeParams()), 340)
+        ]
+        verdicts = set()
+        for i, kb in enumerate(kbs):
+            shared = [
+                KnowledgeBase.of_encoded(kb.tbox, kbs[(i + j) % len(kbs)].encoded)
+                for j in range(3)
+            ]
+            saturate.cache_clear()
+            chase_module._model.cache_clear()
+            models = [chase_module._model(other) for other in shared]
+            for other, model in zip(shared, models):
+                saturate.cache_clear()
+                chase_module._model.cache_clear()
+                fresh = chase_module._model(other)
+                assert (model.carried, model.fire, model.witness, model.consistent) == (
+                    fresh.carried, fresh.fire, fresh.witness, fresh.consistent
+                ), (i, str(other))
+                verdicts.add(model.consistent)
+        assert verdicts == {True, False}
 
 
 class TestDepthStability:
