@@ -30,7 +30,6 @@ from .errors import UnsatisfiableKbError
 from .graph import Graph
 from .kb import (
     BasicConcept,
-    ConceptDisjointness,
     ConceptInclusion,
     KnowledgeBase,
     RoleExpr,
@@ -40,32 +39,31 @@ from .kb import (
 from .query import Query, triple_pattern_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaturatedTBox:
-    concept_closure: frozenset[tuple[BasicConcept, BasicConcept]]
-    role_closure: frozenset[tuple[RoleExpr, RoleExpr]]
-    disjointness_closure: frozenset[tuple[BasicConcept, BasicConcept]]
     role_names: frozenset[str]
-    # Lookups read off the closures: each role's super-roles in sorted order
-    # and each basic concept's implied concepts, both reflexive.
-    supers: dict[RoleExpr, tuple[RoleExpr, ...]] = field(compare=False, repr=False)
-    implied: dict[BasicConcept, frozenset[BasicConcept]] = field(compare=False, repr=False)
+    # Reachability in the inclusion digraph, whose edges are the inclusion
+    # axioms plus ∃r ⊑ ∃s for each role inclusion r ⊑ s: each role's
+    # super-roles in sorted order and each basic concept's implied concepts,
+    # both reflexive.  `disjoint` holds the declared disjoint pairs, both
+    # orders: a concept set closed under `implied` that holds a concept below
+    # each side of a declared pair holds that pair too.
+    supers: dict[RoleExpr, tuple[RoleExpr, ...]] = field(repr=False)
+    implied: dict[BasicConcept, frozenset[BasicConcept]] = field(repr=False)
+    disjoint: frozenset[tuple[BasicConcept, BasicConcept]]
     # Types derived from this TBox alone, filled by `_model`: signature ->
     # _Type, and role r -> the _Type and the _Witness of r's witnesses.
-    signature_types: dict = field(default_factory=dict, compare=False, repr=False)
-    witnesses: dict = field(default_factory=dict, compare=False, repr=False)
+    signature_types: dict = field(default_factory=dict, repr=False)
+    witnesses: dict = field(default_factory=dict, repr=False)
 
     def super_roles(self, r: RoleExpr) -> tuple[RoleExpr, ...]:
         return self.supers.get(r, ())
 
 
-def _transitive_closure(pairs: set[tuple], domain: set) -> set[tuple]:
-    """The reflexive-transitive closure of pairs over domain: one
-    reachability search per node."""
-    successors: dict = {x: [] for x in domain}
-    for a, b in pairs:
-        successors[a].append(b)
-    closure = set()
+def _reachable(successors: dict) -> dict:
+    """Each node of the digraph `successors` -> the nodes it reaches, itself
+    included: one search per node."""
+    reach = {}
     for start in successors:
         reached = {start}
         pending = [start]
@@ -74,21 +72,15 @@ def _transitive_closure(pairs: set[tuple], domain: set) -> set[tuple]:
                 if b not in reached:
                     reached.add(b)
                     pending.append(b)
-        closure.update((start, b) for b in reached)
-    return closure
-
-
-def _lookup(closure) -> dict:
-    """a -> {b : (a, b) in closure}"""
-    out: dict = {}
-    for a, b in closure:
-        out.setdefault(a, set()).add(b)
-    return out
+        reach[start] = reached
+    return reach
 
 
 @lru_cache(maxsize=256)
 def saturate(tbox: frozenset) -> SaturatedTBox:
-    """Least fixpoint of the inclusion/disjointness closure rules."""
+    """The TBox's entailed inclusions as reachability in its inclusion
+    digraph, searched from every role expression and basic concept of its
+    signature, and its declared disjoint pairs."""
     role_names: set[str] = set()
     atomic_names: set[str] = set()
     for ax in tbox:
@@ -101,46 +93,28 @@ def saturate(tbox: frozenset) -> SaturatedTBox:
                 else:
                     role_names.add(c.name)
 
-    role_domain = {
-        RoleExpr(name, inv) for name in role_names for inv in (False, True)
+    roles: dict[RoleExpr, list[RoleExpr]] = {
+        RoleExpr(name, inv): [] for name in role_names for inv in (False, True)
     }
-    role_pairs: set[tuple[RoleExpr, RoleExpr]] = set()
+    concepts: dict[BasicConcept, list[BasicConcept]] = {
+        BasicConcept("atomic", n): [] for n in atomic_names
+    }
+    concepts.update((exists(r), []) for r in roles)
+    disjoint = set()
     for ax in tbox:
         if isinstance(ax, RoleInclusion):
-            role_pairs.add((ax.lhs, ax.rhs))
-            role_pairs.add((ax.lhs.inverted(), ax.rhs.inverted()))
-    role_closure = _transitive_closure(role_pairs, role_domain)
-
-    concept_domain = {BasicConcept("atomic", n) for n in atomic_names}
-    concept_domain.update(exists(r) for r in role_domain)
-    concept_pairs: set[tuple[BasicConcept, BasicConcept]] = set()
-    for ax in tbox:
-        if isinstance(ax, ConceptInclusion):
-            concept_pairs.add((ax.lhs, ax.rhs))
-    for (r, s) in role_closure:
-        concept_pairs.add((exists(r), exists(s)))
-    concept_closure = _transitive_closure(concept_pairs, concept_domain)
-    implied = {b: frozenset(cs) for b, cs in _lookup(concept_closure).items()}
-
-    declared = set()
-    for ax in tbox:
-        if isinstance(ax, ConceptDisjointness):
-            declared.add((ax.lhs, ax.rhs))
-            declared.add((ax.rhs, ax.lhs))
-    implying = _lookup((c, b) for b, c in concept_closure)
-    disjoint = {
-        (b1, b2)
-        for (d1, d2) in declared
-        for b1 in implying.get(d1, ())
-        for b2 in implying.get(d2, ())
-    }
+            for r, s in ((ax.lhs, ax.rhs), (ax.lhs.inverted(), ax.rhs.inverted())):
+                roles[r].append(s)
+                concepts[exists(r)].append(exists(s))
+        elif isinstance(ax, ConceptInclusion):
+            concepts[ax.lhs].append(ax.rhs)
+        else:
+            disjoint.update(((ax.lhs, ax.rhs), (ax.rhs, ax.lhs)))
     return SaturatedTBox(
-        frozenset(concept_closure),
-        frozenset(role_closure),
-        frozenset(disjoint),
         frozenset(role_names),
-        {r: tuple(sorted(ss)) for r, ss in _lookup(role_closure).items()},
-        implied,
+        {r: tuple(sorted(ss)) for r, ss in _reachable(roles).items()},
+        {b: frozenset(cs) for b, cs in _reachable(concepts).items()},
+        frozenset(disjoint),
     )
 
 
@@ -170,13 +144,13 @@ def _type(satisfied: set[BasicConcept], sat: SaturatedTBox) -> _Type:
         for r in unsatisfied
         if not any(
             s != r
-            and (s, r) in sat.role_closure
-            and (s < r or (r, s) not in sat.role_closure)
+            and r in sat.super_roles(s)
+            and (s < r or s not in sat.super_roles(r))
             for s in unsatisfied
         )
     )
     atomic = tuple(sorted(b.name for b in entailed if b.kind == "atomic"))
-    clash = any(b1 in entailed and b2 in entailed for b1, b2 in sat.disjointness_closure)
+    clash = any(b1 in entailed and b2 in entailed for b1, b2 in sat.disjoint)
     return _Type(atomic, fire, clash)
 
 
@@ -426,14 +400,10 @@ def _consistent_model(kb: KnowledgeBase) -> _Model:
     return model
 
 
-def _build_chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
-    return ChaseGraph(_consistent_model(kb), bound)
-
-
 @lru_cache(maxsize=8)
 def chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     """Restricted chase up to the given witness depth; rejects unsat KBs."""
-    return _build_chase(kb, bound)
+    return ChaseGraph(_consistent_model(kb), bound)
 
 
 def witness_count(kb: KnowledgeBase, bound: int) -> int:

@@ -6,16 +6,29 @@ every pair of rows, so nothing here shares the engine's hash partition.
 `materialized` is the engine's own evaluation over the materialized chase,
 as it ran before it read the chase on demand.  `print_mappings` is `eval`'s
 printer as it ran before it printed slot rows: over SolutionMappings, in
-`sort_mappings` order."""
+`sort_mappings` order.
+
+`closure_tbox` saturates a TBox into pair closures by the naive fixpoint, and
+`closure_type` reads an element's type off them, for comparison with the
+engine's reachability lookups."""
 
 import json
+from typing import NamedTuple
 from unittest import mock
 
 import sparqlkb.semantics
 from sparqlkb.chase import chase, default_bound, entailed_abox
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.graph import Graph
-from sparqlkb.kb import Var, active_domain
+from sparqlkb.kb import (
+    ConceptDisjointness,
+    ConceptInclusion,
+    RoleExpr,
+    RoleInclusion,
+    Var,
+    active_domain,
+    exists,
+)
 from sparqlkb.mappings import SolutionMapping
 from sparqlkb.query import (
     JoinQ,
@@ -227,3 +240,122 @@ def print_mappings(omega, fmt, out):
     out.write("".join(
         "\t".join(f"?{v.name}={t.name}" for v, t in w.bindings) + "\n" for w in ordered
     ))
+
+
+def fixpoint_closure(pairs, domain):
+    """The reflexive-transitive closure of pairs over domain by the naive
+    fixpoint."""
+    closure = set(pairs) | {(x, x) for x in domain}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(closure):
+            for (c, d) in list(closure):
+                if b == c and (a, d) not in closure:
+                    closure.add((a, d))
+                    changed = True
+    return closure
+
+
+class ClosureTBox(NamedTuple):
+    """A TBox's entailments as sets of pairs: (r, s) when r ⊑* s,
+    (b, c) when b ⊑* c, and (b1, b2) when b1 and b2 are disjoint."""
+
+    role_names: frozenset
+    role_closure: frozenset
+    concept_closure: frozenset
+    disjointness_closure: frozenset
+
+    def supers(self):
+        """Each role -> its super-roles, in sorted order."""
+        out = {}
+        for r, s in sorted(self.role_closure):
+            out[r] = out.get(r, ()) + (s,)
+        return out
+
+    def implied(self):
+        """Each basic concept -> the concepts it implies."""
+        out = {}
+        for b, c in self.concept_closure:
+            out.setdefault(b, set()).add(c)
+        return {b: frozenset(cs) for b, cs in out.items()}
+
+
+def closure_tbox(tbox):
+    """The closure rules' least fixpoint over the TBox's signature: the role
+    inclusions and their inverses, closed; the concept inclusions and
+    ∃r ⊑ ∃s for every entailed r ⊑ s, closed; and b1, b2 disjoint when they
+    imply the two sides of a declared disjointness, in either order."""
+    role_names = frozenset(
+        {r.name for ax in tbox if isinstance(ax, RoleInclusion) for r in (ax.lhs, ax.rhs)}
+        | {
+            c.name
+            for ax in tbox
+            if not isinstance(ax, RoleInclusion)
+            for c in (ax.lhs, ax.rhs)
+            if c.kind != "atomic"
+        }
+    )
+    roles = {RoleExpr(n, inverse) for n in role_names for inverse in (False, True)}
+    role_closure = fixpoint_closure(
+        {
+            pair
+            for ax in tbox
+            if isinstance(ax, RoleInclusion)
+            for pair in ((ax.lhs, ax.rhs), (ax.lhs.inverted(), ax.rhs.inverted()))
+        },
+        roles,
+    )
+    concepts = {exists(r) for r in roles} | {
+        c
+        for ax in tbox
+        if not isinstance(ax, RoleInclusion)
+        for c in (ax.lhs, ax.rhs)
+        if c.kind == "atomic"
+    }
+    concept_closure = fixpoint_closure(
+        {(ax.lhs, ax.rhs) for ax in tbox if isinstance(ax, ConceptInclusion)}
+        | {(exists(r), exists(s)) for r, s in role_closure},
+        concepts,
+    )
+    declared = {
+        pair
+        for ax in tbox
+        if isinstance(ax, ConceptDisjointness)
+        for pair in ((ax.lhs, ax.rhs), (ax.rhs, ax.lhs))
+    }
+    disjointness_closure = {
+        (b1, b2)
+        for b1, d1 in concept_closure
+        for b2, d2 in concept_closure
+        if (d1, d2) in declared
+    }
+    return ClosureTBox(
+        role_names,
+        frozenset(role_closure),
+        frozenset(concept_closure),
+        frozenset(disjointness_closure),
+    )
+
+
+def closure_type(satisfied, ref):
+    """An element's type read off the pair closures of `ref`: the names of
+    its atomic concepts, the roles it fires (of its unsatisfied existentials
+    the sub-role-minimal ones, and of equivalent ones the first in sorted
+    order) and whether it holds a disjoint pair."""
+    entailed = set(satisfied) | {c for b, c in ref.concept_closure if b in satisfied}
+    unsatisfied = sorted(
+        b.role for b in entailed if b.kind != "atomic" and b not in satisfied
+    )
+    below = ref.role_closure
+    fire = tuple(
+        r
+        for r in unsatisfied
+        if not any(
+            s != r and (s, r) in below and (s < r or (r, s) not in below)
+            for s in unsatisfied
+        )
+    )
+    atomic = tuple(sorted(b.name for b in entailed if b.kind == "atomic"))
+    clash = any((b1, b2) in ref.disjointness_closure for b1 in entailed for b2 in entailed)
+    return atomic, fire, clash
