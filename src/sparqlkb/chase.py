@@ -45,9 +45,9 @@ class SaturatedTBox:
     # Reachability in the inclusion digraph, whose edges are the inclusion
     # axioms plus ∃r ⊑ ∃s for each role inclusion r ⊑ s: each role's
     # super-roles in sorted order and each basic concept's implied concepts,
-    # both reflexive.  `disjoint` holds the declared disjoint pairs, both
-    # orders: a concept set closed under `implied` that holds a concept below
-    # each side of a declared pair holds that pair too.
+    # both reflexive.  `disjoint` holds the declared disjoint pairs, each once
+    # (a clash test reads a pair in both orders): a concept set closed under
+    # `implied` that holds a concept below each side of a pair holds the pair.
     supers: dict[RoleExpr, tuple[RoleExpr, ...]] = field(repr=False)
     implied: dict[BasicConcept, frozenset[BasicConcept]] = field(repr=False)
     disjoint: frozenset[tuple[BasicConcept, BasicConcept]]
@@ -109,7 +109,7 @@ def saturate(tbox: frozenset) -> SaturatedTBox:
         elif isinstance(ax, ConceptInclusion):
             concepts[ax.lhs].append(ax.rhs)
         else:
-            disjoint.update(((ax.lhs, ax.rhs), (ax.rhs, ax.lhs)))
+            disjoint.add((ax.lhs, ax.rhs))
     return SaturatedTBox(
         frozenset(role_names),
         {r: tuple(sorted(ss)) for r, ss in _reachable(roles).items()},
@@ -304,24 +304,23 @@ class ChaseGraph:
     Its atoms over named individuals are the model's entailed ABox.  Each
     witness adds the atoms its record (`_Witness`) lists: its edges from its
     parent and its atomic concepts.  Both readers read those records:
-    `graph` and `depth_of` unfold them to the bound on first read, and
-    `match` walks them from the values it is given.  `rows` unfolds them
-    only for a predicate that witness atoms carry.
+    `graph` unfolds them to the bound on first read, and `match` walks them
+    from the values it is given.  `rows` unfolds them only for a predicate
+    that witness atoms carry.
     """
 
     model: _Model = field(repr=False)
     bound: int
 
     @cached_property
-    def _unfolded(self) -> tuple[dict[str, set[tuple[str, ...]]], dict[str, int]]:
-        """The chase's index and each witness's depth: the witness records
-        unfolded breadth-first from the named individuals to the bound."""
+    def graph(self) -> Graph:
+        """The whole chase: the witness records unfolded breadth-first from
+        the named individuals to the bound."""
         model, bound = self.model, self.bound
         witnesses = model.witness
         index = defaultdict(set, {p: set(rows) for p, rows in model.index.items()})
-        depth_of: dict[str, int] = {}
         queue: deque[tuple[str, int, tuple[str, ...]]] = deque(
-            (t, 0, fire) for t, fire in sorted(model.fire.items()) if fire
+            (t, 0, fire) for t, fire in model.fire.items() if fire
         )
         while queue:
             parent, depth, fire = queue.popleft()
@@ -331,22 +330,12 @@ class ChaseGraph:
             for segment in fire:
                 w = witnesses[segment]
                 witness = prefix + segment
-                depth_of[witness] = depth + 1
                 for p, inverse in w.edges:
                     index[p].add((witness, parent) if inverse else (parent, witness))
                 for a in w.atomic:
                     index[a].add((witness,))
                 queue.append((witness, depth + 1, w.fire))
-        return dict(index), depth_of
-
-    @cached_property
-    def graph(self) -> Graph:
-        return Graph.of_index(self._unfolded[0])
-
-    @cached_property
-    def depth_of(self) -> tuple[tuple[str, int], ...]:
-        """Each witness's name and depth, sorted by name."""
-        return tuple(sorted(self._unfolded[1].items()))
+        return Graph.of_index(dict(index))
 
     def carries(self, p: str) -> bool:
         """Whether a witness atom can have predicate p."""

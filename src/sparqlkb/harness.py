@@ -34,7 +34,7 @@ from .query import (
     TriplePattern,
     UnionQ,
     VarSetFamily,
-    adm,
+    is_admissible,
     query_vars,
     serialize_query,
     union_operands,
@@ -107,8 +107,7 @@ def _offending(
     if req_id == 2:
         return None if kb.tbox else answers ^ _try_semantics("plain", q, kb)
     if req_id == 4:
-        family = adm(q)
-        return {w for w in answers if w.domain not in family}
+        return {w for w in answers if not is_admissible(q, w.domain)}
     if req_id == 3:
         left = _try_semantics(name, q.left, kb) if isinstance(q, OptQ) else None
         return None if left is None else {
@@ -120,11 +119,10 @@ def _offending(
     a2 = _try_semantics(name, q.right, kb)
     if a1 is None or a2 is None:
         return None
-    adm_left, adm_right = adm(q.left), adm(q.right)
     return {
         w for w in answers
-        if (w not in a2 and w.domain not in adm_left)
-        or (w not in a1 and w.domain not in adm_right)
+        if (w not in a2 and not is_admissible(q.left, w.domain))
+        or (w not in a1 and not is_admissible(q.right, w.domain))
     }
 
 

@@ -239,14 +239,15 @@ def _top_inside(q: Query, x: VarSet) -> VarSet | None:
 
 
 def is_admissible(q: Query, x: VarSet) -> bool:
-    """Decide x ∈ adm(q) for a UNION-free query via its base family.
+    """Decide x ∈ adm(q) via the base families of q's branches.
 
-    x is admissible iff it is a union of a nonempty subfamily of base(q):
+    adm(q) is the union of its branches' families, and x is admissible for
+    a branch iff it is a union of a nonempty subfamily of the branch's base:
     the minimum base element must be contained in x, and the base elements
     inside x must cover it.
     """
     x = frozenset(x)
-    return _top_inside(q, x) == x
+    return any(_top_inside(b, x) == x for b in branch(q))
 
 
 def max_admissible_subsets(q: Query, x2: VarSet) -> VarSetFamily:

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import load_kb, load_query, m
 from sparqlkb import harness
+from sparqlkb import query as query_module
 from sparqlkb.errors import SparqlKbError, UnsatisfiableKbError
 from sparqlkb.graph import Graph
 from sparqlkb.harness import (
@@ -32,6 +33,15 @@ from sparqlkb.query import (
 from sparqlkb.semantics import SEMANTICS, is_ucq_shape
 
 X, Y = Var("x"), Var("y")
+
+
+def _opt_chain(k: int, var: str) -> str:
+    """Query text of a left-deep chain of k OPTs over A(?x), its i-th step
+    binding ?{var}{i}: it has 2^k admissible variable sets."""
+    text = "A(?x)"
+    for i in range(k):
+        text = f"OPT({text}, r(?x, ?{var}{i}))"
+    return text
 
 
 class TestCheckRequirement:
@@ -90,6 +100,30 @@ class TestCheckRequirement:
         assert d["verdict"] == "fail"
         assert d["instance"] == "ex7"
         assert d["counterexamples"] == [{"?x": "Alice", "?z": "Alice"}]
+
+    @pytest.mark.parametrize(
+        "q_text",
+        [_opt_chain(24, "y"), f"UNION({_opt_chain(12, 'y')}, {_opt_chain(12, 'z')})"],
+        ids=["chain-24", "union-of-chains-12"],
+    )
+    def test_admissibility_builds_no_adm_family(self, monkeypatch, q_text):
+        """Requirements 4 and 5 decide admissibility from the base families:
+        a chain of 24 OPTs has 2^24 admissible sets, and none is built."""
+
+        def refuse(q):
+            raise AssertionError("adm materialized")
+
+        monkeypatch.setattr(query_module, "adm", refuse)
+        assert not hasattr(harness, "adm")
+        kb = parse_kb("TBOX: A [= exists r . ABOX: A(a) . A(b) . r(a, c) . B(d) . A(e) .")
+        q = parse_query(q_text)
+        verdicts = Counter()
+        for name in SEMANTICS:
+            for req_id in range(1, 6):
+                report = check_requirement(req_id, name, q, kb)
+                verdicts[name, report.verdict] += 1
+        assert verdicts["mcan", "fail"] == 0
+        assert verdicts["mcan", "pass"] >= 1
 
 
 @pytest.fixture

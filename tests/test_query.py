@@ -243,23 +243,31 @@ class TestAdmissibility:
 
     @pytest.mark.parametrize("seed", [3, 11, 17, 23, 31])
     def test_agrees_with_brute_force_on_every_branch(self, seed):
-        """Every UNION-free branch, SELECT included, against the power set."""
-        checked = 0
+        """Every query, UNION included, and every UNION-free branch, SELECT
+        included, against the power set."""
+        checked = unions = 0
         for _, q in islice(generate_instances(seed, SizeParams()), 300):
+            oracle = brute_force_adm(q)
+            for x in _power_set(q):
+                assert is_admissible(q, x) == (x in oracle), (q, x)
+            unions += not is_union_free(q)
             for qb in branch(q):
-                variables = sorted(query_vars(qb))
                 oracle = brute_force_adm(qb)
-                subsets = [
-                    frozenset(v for i, v in enumerate(variables) if mask >> i & 1)
-                    for mask in range(2 ** len(variables))
-                ]
-                for x in subsets:
+                for x in _power_set(qb):
                     assert is_admissible(qb, x) == (x in oracle), (qb, x)
                     inside = [a for a in oracle if a <= x]
                     want = frozenset(a for a in inside if not any(a < b for b in inside))
                     assert max_admissible_subsets(qb, x) == want, (qb, x)
                 checked += 1
-        assert checked >= 300
+        assert checked >= 300 and unions >= 100
+
+
+def _power_set(q) -> list:
+    variables = sorted(query_vars(q))
+    return [
+        frozenset(v for i, v in enumerate(variables) if mask >> i & 1)
+        for mask in range(2 ** len(variables))
+    ]
 
 
 def test_every_cache_is_bounded():
