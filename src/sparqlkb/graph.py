@@ -7,6 +7,10 @@ a sorted list of variable names, one slot per variable, None where it is
 unbound.  `Atom`, `Term` and `SolutionMapping` are built only where a public
 function returns.
 
+⋈ and ∖ split each operand into parts by the common variables its rows
+bind, and hash each pair of parts on the common variables both bind: two
+rows are compatible iff their keys are equal, so no pair of rows is compared.
+
 `evaluate` recurses over the query tree, node by node, over a source: an
 index, or a chase read on demand (`chase.ChaseGraph`), which a triple
 pattern reads through key lookups.  Keys K map some variables to sets of
@@ -27,7 +31,8 @@ The root has no keys, so it returns ans(q).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import compress
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
@@ -124,81 +129,77 @@ def _key(positions: tuple[int, ...]) -> Callable[[tuple], object]:
 @lru_cache(maxsize=256)
 def _merge_plan(lvars: tuple[str, ...], rvars: tuple[str, ...]):
     """How rows over lvars and rvars combine into rows over their sorted
-    union `out`: `take` picks an out row from l + r (the left slot where
-    both have the variable), and `shared` lists each common variable's
-    (left slot, right slot, out slot)."""
+    union `out`: `lslots` and `rslots` are the slots of the common
+    variables, `lkey` and `rkey` key a row by its values there, and `pick`
+    picks an out row from l + r (the left slot where both have the
+    variable)."""
     out = tuple(sorted(set(lvars) | set(rvars)))
     lpos = {v: i for i, v in enumerate(lvars)}
     rpos = {v: j for j, v in enumerate(rvars)}
+    lslots = tuple(lpos[v] for v in out if v in lpos and v in rpos)
+    rslots = tuple(rpos[v] for v in out if v in lpos and v in rpos)
     take = tuple(lpos[v] if v in lpos else len(lvars) + rpos[v] for v in out)
-    shared = tuple((lpos[v], rpos[v], o) for o, v in enumerate(out) if v in lpos and v in rpos)
-    return out, take, shared
+    return out, lslots, rslots, _key(lslots), _key(rslots), _picker(take)
 
 
-def _partition(left: Rows, right: Rows, shared):
-    """Split the common variables into the key, those every row of both
-    operands binds (rows that differ there are incompatible), and the
-    loose rest, which a pair of rows must be checked on.  Returns the key
-    functions of both sides and the loose (left, right, out) slots."""
-    key, loose = [], []
-    for i, j, o in shared:
-        always = None not in map(itemgetter(i), left.rows) and None not in map(
-            itemgetter(j), right.rows
-        )
-        (key if always else loose).append((i, j, o))
-    return _key(tuple(k[0] for k in key)), _key(tuple(k[1] for k in key)), loose
+def bound_groups(rows: set | frozenset, slots: tuple[int, ...]) -> dict:
+    """The rows grouped by which of `slots` they bind (a bound slot holds a
+    name, which is never empty), each group a nonempty set under the tuple
+    of those slots.  When a scan of each slot's column finds no row that
+    leaves it unbound, the one group is `rows` itself."""
+    for i in slots:
+        if None in map(itemgetter(i), rows):
+            break
+    else:
+        return {slots: rows} if rows else {}
+    pick = _picker(slots)
+    groups: dict[tuple[int, ...], set[tuple]] = {}
+    for row in rows:
+        groups.setdefault(tuple(compress(slots, pick(row))), set()).add(row)
+    return groups
 
 
-def _compatible(l: tuple, r: tuple, loose) -> bool:
-    return all(l[i] is None or r[j] is None or l[i] == r[j] for i, j, _ in loose)
+def _parts(rows: Rows, slots: tuple[int, ...]) -> list[Rows]:
+    """The groups of `bound_groups`, each over the variables outside
+    `slots` and those of `slots` that its rows bind, so that any two parts
+    bind every variable they share; `[rows]` when every row binds all of
+    `slots`."""
+    groups = bound_groups(rows.rows, slots)
+    if len(groups) == 1 and slots in groups:
+        return [rows]
+    parts = []
+    for bound, group in groups.items():
+        names = [v for i, v in enumerate(rows.vars) if i in bound or i not in slots]
+        parts.append(project(Rows(rows.vars, group), names))
+    return parts
 
 
 def join(left: Rows, right: Rows) -> Rows:
     """Ω1 ⋈ Ω2: the merge of every pair of compatible rows (rows that agree
-    on each variable both bind), as a hash join."""
-    out, take, shared = _merge_plan(left.vars, right.vars)
+    on each variable both bind), as a hash join of each pair of parts."""
+    out, lslots, rslots, lkey, rkey, pick = _merge_plan(left.vars, right.vars)
     if not left.rows or not right.rows:
         return Rows(out, frozenset())
-    lkey, rkey, loose = _partition(left, right, shared)
+    lparts, rparts = _parts(left, lslots), _parts(right, rslots)
+    if lparts[0] is not left or rparts[0] is not right:
+        return pad(reduce(union, (join(l, r) for l in lparts for r in rparts)), out)
     buckets: dict = {}
     for r in right.rows:
         buckets.setdefault(rkey(r), []).append(r)
-    pick = _picker(take)
-    if not loose:
-        return Rows(out, {pick(l + r) for l in left.rows for r in buckets.get(lkey(l), ())})
-    rows = set()
-    for l in left.rows:
-        for r in buckets.get(lkey(l), ()):
-            if _compatible(l, r, loose):
-                row = list(pick(l + r))
-                for i, j, o in loose:
-                    if l[i] is None:
-                        row[o] = r[j]
-                rows.add(tuple(row))
-    return Rows(out, rows)
+    return Rows(out, {pick(l + r) for l in left.rows for r in buckets.get(lkey(l), ())})
 
 
 def diff(left: Rows, right: Rows) -> Rows:
     """Ω1 ∖ Ω2: the rows of Ω1 compatible with no row of Ω2, as a hash
-    anti-join on the same partition as `join`."""
+    anti-join of each part of Ω1 with each part of Ω2 in turn."""
     if not left.rows or not right.rows:
         return left
-    _, _, shared = _merge_plan(left.vars, right.vars)
-    lkey, rkey, loose = _partition(left, right, shared)
-    if not loose:
-        keys = set(map(rkey, right.rows))
-        return Rows(left.vars, {l for l in left.rows if lkey(l) not in keys})
-    buckets: dict = {}
-    for r in right.rows:
-        buckets.setdefault(rkey(r), []).append(r)
-    return Rows(
-        left.vars,
-        {
-            l
-            for l in left.rows
-            if not any(_compatible(l, r, loose) for r in buckets.get(lkey(l), ()))
-        },
-    )
+    _, lslots, rslots, lkey, rkey, _ = _merge_plan(left.vars, right.vars)
+    lparts, rparts = _parts(left, lslots), _parts(right, rslots)
+    if lparts[0] is not left or rparts[0] is not right:
+        return pad(reduce(union, (reduce(diff, rparts, l) for l in lparts)), left.vars)
+    keys = set(map(rkey, right.rows))
+    return Rows(left.vars, {l for l in left.rows if lkey(l) not in keys})
 
 
 def union(left: Rows, right: Rows) -> Rows:

@@ -3,17 +3,17 @@
 Each is defined once, as a function that returns the engine's slot rows
 (see graph.py).  `eval` prints those rows; only the library functions
 (`plain_ans`, ..., `SEMANTICS`) build SolutionMappings from them.  Besides
-graph.py's ⋈, ∖, ∪ and π, the semantics use three operators of their own,
+graph.py's ⋈, ∖, ∪ and π, the semantics use operators of their own,
 defined below on slot rows: Ω ▷ B keeps the rows that range inside the term
-set B, Ω ▶ B unbinds every value outside B, and Ω ⊗ 𝒳 restricts each row to
-every maximal member of the variable-set family 𝒳 inside its domain.
+set B, Ω ▶ B unbinds every value outside B, and `otimes` is the general
+Ω ⊗ 𝒳.  `mcan` unbinds each domain group of a branch's rows to the largest
+admissible subset of the domain, read off base: that is ⊗ adm(branch).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import is_
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable
 
 from .chase import ChaseGraph, chase, default_bound, entailed_abox
 from .errors import QueryShapeError
@@ -22,6 +22,7 @@ from .kb import KnowledgeBase, Var
 # here; the benchmark tracer looks them up in this module.
 from .graph import (
     Rows,
+    bound_groups,
     diff,
     evaluate,
     join,
@@ -61,29 +62,23 @@ def restrict_project(rows: Rows, b: frozenset[str]) -> Rows:
     return Rows(rows.vars, {tuple(map(keep, row)) for row in rows.rows})
 
 
-def _by_domain(rows: Rows) -> dict[tuple[bool, ...], list[tuple]]:
-    """The rows grouped by their unbound slots."""
-    groups: dict[tuple[bool, ...], list[tuple]] = {}
-    for row in rows.rows:
-        groups.setdefault(tuple(map(is_, row, repeat(None))), []).append(row)
-    return groups
-
-
-def _domain(names: tuple[str, ...], unbound: tuple[bool, ...]) -> VarSet:
-    """The variables that a row with these unbound slots binds."""
-    return frozenset(Var(v) for v, free in zip(names, unbound) if not free)
+def _restrict_domains(rows: Rows, tops: Callable[[VarSet], Iterable[VarSet]]) -> Rows:
+    """Each row restricted to every variable set that `tops` gives for its
+    domain."""
+    out: set[tuple] = set()
+    for bound, group in bound_groups(rows.rows, tuple(range(len(rows.vars)))).items():
+        for x in tops(frozenset(Var(rows.vars[i]) for i in bound)):
+            out.update(unbind(Rows(rows.vars, group), (v.name for v in x)).rows)
+    return Rows(rows.vars, out)
 
 
 def otimes(rows: Rows, family: VarSetFamily) -> Rows:
     """Ω ⊗ 𝒳: restrict each row to every maximal X ∈ 𝒳 inside its domain."""
-    out: set[tuple] = set()
-    for unbound, group in _by_domain(rows).items():
-        domain = _domain(rows.vars, unbound)
+    def tops(domain: VarSet) -> list[VarSet]:
         inside = [x for x in family if x <= domain]
-        for x in inside:
-            if not any(x < y for y in inside):
-                out.update(unbind(Rows(rows.vars, group), (v.name for v in x)).rows)
-    return Rows(rows.vars, out)
+        return [x for x in inside if not any(x < y for y in inside)]
+
+    return _restrict_domains(rows, tops)
 
 
 def plain_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
@@ -161,17 +156,10 @@ def m_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
             branch_rows = pad(evaluate(qb, cg), full.vars)
             answers = Rows(full.vars, full.rows & branch_rows.rows)
         restricted = restrict_project(answers, kb.encoded.adom)
-        # The largest admissible subset of each row domain, in place of
-        # adm(qb), which has 2^k members for k OPTs.  Any such set inside a
-        # domain D is admissible, so it lies under D's own: ⊗ keeps the
-        # same maximal sets.
-        family = frozenset().union(
-            *(
-                max_admissible_subsets(qb, _domain(full.vars, unbound))
-                for unbound in _by_domain(restricted)
-            )
-        )
-        out.update(otimes(restricted, family).rows)
+        # Ω ⊗ adm(qb): the admissible sets inside a row domain are closed
+        # under union, so the largest, read off base, is the only maximal
+        # one; adm(qb) itself has 2^k members for k OPTs.
+        out.update(_restrict_domains(restricted, partial(max_admissible_subsets, qb)).rows)
     return Rows(full.vars, out)
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference
-import sparqlkb.graph as graph_module
 from conftest import m, ms, V
 from sparqlkb.graph import Rows, diff, join, project, to_mappings, union
 from sparqlkb.kb import Var, individual
@@ -143,25 +142,47 @@ class TestHashAlgebra:
         assert to_mappings(join(rows1, rows2)) == reference.nested_loop_join(o1, o2)
         assert to_mappings(diff(rows1, rows2)) == reference.nested_loop_diff(o1, o2)
 
-    def test_join_checks_only_rows_with_equal_keys(self, monkeypatch):
-        """x, which every row binds, is the key; y, which some rows leave
-        unbound, is checked pair by pair within a bucket."""
-        calls = []
-        check = graph_module._compatible
+    def test_join_checks_only_rows_with_equal_keys(self):
+        """Rows are compared only through hash lookups on the common
+        variables both bind, so values are compared only where the keys are
+        equal: at most once per merged pair and key variable, never once
+        per pair of rows."""
+        compared = []
 
-        def counting(l, r, loose):
-            calls.append(None)
-            return check(l, r, loose)
+        class Value(str):
+            __hash__ = str.__hash__
 
-        monkeypatch.setattr(graph_module, "_compatible", counting)
-        left = Rows(("x", "y"), {(f"c{i}", f"a{i}" if i % 2 else None) for i in range(2000)})
-        right = Rows(
+            def __eq__(self, other):
+                if isinstance(other, Value):
+                    compared.append(None)
+                return str.__eq__(self, other)
+
+        def rows(names, *columns):
+            return Rows(names, {tuple(c and Value(c) for c in row) for row in zip(*columns)})
+
+        # x, which every row binds, and y, which rows of both operands
+        # sometimes leave unbound
+        n = range(2000)
+        left = rows(("x", "y"), [f"c{i}" for i in n], [f"a{i}" if i % 2 else None for i in n])
+        right = rows(
             ("x", "y", "z"),
-            {(f"c{i + 1000}", f"a{i + 1000}" if i % 3 else None, f"b{i}") for i in range(2000)},
+            [f"c{i + 1000}" for i in n],
+            [f"a{i + 1000}" if i % 3 else None for i in n],
+            [f"b{i}" for i in n],
         )
         out = join(left, right)
         assert len(out) == 1000
-        assert len(calls) <= len(left) + len(out)
+        assert len(compared) <= len(left) + len(out)
+        # y alone, which rows of both operands sometimes leave unbound: each
+        # such row is compatible with every row of the other operand
+        compared.clear()
+        left = rows(("x", "y"), [f"c{i}" for i in n], [f"a{i}" if i % 500 else None for i in n])
+        right = rows(
+            ("y", "z"), [f"a{i + 1000}" if i % 500 else None for i in n], [f"b{i}" for i in n]
+        )
+        out = join(left, right)
+        assert len(out) == 998 + 4 * 2000 + 1996 * 4
+        assert len(compared) <= len(left) + len(out)
 
 
 @st.composite

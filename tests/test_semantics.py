@@ -174,8 +174,12 @@ class TestMaximalAdmissible:
             calls.append(q)
             return adm(q)
 
+        def no_family(rows, family):
+            raise AssertionError("mcan built a family for otimes")
+
         monkeypatch.setattr(sparqlkb.query, "adm", counted)
         monkeypatch.setattr(sparqlkb.semantics, "adm", counted)
+        monkeypatch.setattr(sparqlkb.semantics, "otimes", no_family)
         text = "A(?x)"
         for i in range(12):
             text = f"OPT({text}, p{i}(?x, ?y{i}))"
