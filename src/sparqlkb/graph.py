@@ -7,9 +7,9 @@ a sorted list of variable names, one slot per variable, None where it is
 unbound.  `Atom`, `Term` and `SolutionMapping` are built only where a public
 function returns.
 
-⋈ and ∖ split each operand into parts by the common variables its rows
-bind, and hash each pair of parts on the common variables both bind: two
-rows are compatible iff their keys are equal, so no pair of rows is compared.
+⋈ and ∖ group each operand's rows by the common variables they bind, and
+hash each pair of groups on the common variables both bind: two rows are
+compatible iff their keys are equal, so no pair of rows is compared.
 
 `evaluate` recurses over the query tree, node by node, over a source: an
 index, or a chase read on demand (`chase.ChaseGraph`), which a triple
@@ -31,7 +31,7 @@ The root has no keys, so it returns ans(q).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import compress
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
@@ -128,25 +128,32 @@ def _key(positions: tuple[int, ...]) -> Callable[[tuple], object]:
 
 @lru_cache(maxsize=256)
 def _merge_plan(lvars: tuple[str, ...], rvars: tuple[str, ...]):
-    """How rows over lvars and rvars combine into rows over their sorted
-    union `out`: `lslots` and `rslots` are the slots of the common
-    variables, `lkey` and `rkey` key a row by its values there, and `pick`
-    picks an out row from l + r (the left slot where both have the
-    variable)."""
+    """Rows over lvars and rvars merge into rows over their sorted union
+    `out`; `lslots` and `rslots` are the slots of the common variables."""
     out = tuple(sorted(set(lvars) | set(rvars)))
-    lpos = {v: i for i, v in enumerate(lvars)}
-    rpos = {v: j for j, v in enumerate(rvars)}
-    lslots = tuple(lpos[v] for v in out if v in lpos and v in rpos)
-    rslots = tuple(rpos[v] for v in out if v in lpos and v in rpos)
-    take = tuple(lpos[v] if v in lpos else len(lvars) + rpos[v] for v in out)
-    return out, lslots, rslots, _key(lslots), _key(rslots), _picker(take)
+    lslots = tuple(lvars.index(v) for v in out if v in lvars and v in rvars)
+    rslots = tuple(rvars.index(v) for v in out if v in lvars and v in rvars)
+    return out, lslots, rslots
+
+
+@lru_cache(maxsize=256)
+def _pair_plan(lvars: tuple, rvars: tuple, lbound: tuple, rbound: tuple):
+    """How a group of rows over lvars that binds the common slots `lbound`
+    meets one over rvars that binds `rbound`: `lkey` and `rkey` key a row by
+    the common variables both bind, and `pick` picks an out row from l + r,
+    reading a common variable from r only where only r's group binds it."""
+    out, lslots, rslots = _merge_plan(lvars, rvars)
+    keyed = [i in lbound and j in rbound for i, j in zip(lslots, rslots)]
+    lkey, rkey = (_key(tuple(compress(slots, keyed))) for slots in (lslots, rslots))
+    from_r = {lvars[i] for i, j in zip(lslots, rslots) if i not in lbound and j in rbound}
+    lr = lvars + rvars
+    return lkey, rkey, _picker(tuple(lr.index(v, len(lvars) if v in from_r else 0) for v in out))
 
 
 def bound_groups(rows: set | frozenset, slots: tuple[int, ...]) -> dict:
-    """The rows grouped by which of `slots` they bind (a bound slot holds a
-    name, which is never empty), each group a nonempty set under the tuple
-    of those slots.  When a scan of each slot's column finds no row that
-    leaves it unbound, the one group is `rows` itself."""
+    """The rows grouped under the tuple of the `slots` they bind (a name is
+    never empty), each group a nonempty set; when a scan of each slot's
+    column finds no None, the one group is `rows` itself."""
     for i in slots:
         if None in map(itemgetter(i), rows):
             break
@@ -159,47 +166,39 @@ def bound_groups(rows: set | frozenset, slots: tuple[int, ...]) -> dict:
     return groups
 
 
-def _parts(rows: Rows, slots: tuple[int, ...]) -> list[Rows]:
-    """The groups of `bound_groups`, each over the variables outside
-    `slots` and those of `slots` that its rows bind, so that any two parts
-    bind every variable they share; `[rows]` when every row binds all of
-    `slots`."""
-    groups = bound_groups(rows.rows, slots)
-    if len(groups) == 1 and slots in groups:
-        return [rows]
-    parts = []
-    for bound, group in groups.items():
-        names = [v for i, v in enumerate(rows.vars) if i in bound or i not in slots]
-        parts.append(project(Rows(rows.vars, group), names))
-    return parts
-
-
 def join(left: Rows, right: Rows) -> Rows:
     """Ω1 ⋈ Ω2: the merge of every pair of compatible rows (rows that agree
-    on each variable both bind), as a hash join of each pair of parts."""
-    out, lslots, rslots, lkey, rkey, pick = _merge_plan(left.vars, right.vars)
+    on each variable both bind), as a hash join of each pair of groups."""
+    out, lslots, rslots = _merge_plan(left.vars, right.vars)
     if not left.rows or not right.rows:
         return Rows(out, frozenset())
-    lparts, rparts = _parts(left, lslots), _parts(right, rslots)
-    if lparts[0] is not left or rparts[0] is not right:
-        return pad(reduce(union, (join(l, r) for l in lparts for r in rparts)), out)
-    buckets: dict = {}
-    for r in right.rows:
-        buckets.setdefault(rkey(r), []).append(r)
-    return Rows(out, {pick(l + r) for l in left.rows for r in buckets.get(lkey(l), ())})
+    rgroups = bound_groups(right.rows, rslots)
+    rows: set[tuple] = set()
+    for lbound, lgroup in bound_groups(left.rows, lslots).items():
+        for rbound, rgroup in rgroups.items():
+            lkey, rkey, pick = _pair_plan(left.vars, right.vars, lbound, rbound)
+            buckets: dict = {}
+            for r in rgroup:
+                buckets.setdefault(rkey(r), []).append(r)
+            rows |= {pick(l + r) for l in lgroup for r in buckets.get(lkey(l), ())}
+    return Rows(out, rows)
 
 
 def diff(left: Rows, right: Rows) -> Rows:
     """Ω1 ∖ Ω2: the rows of Ω1 compatible with no row of Ω2, as a hash
-    anti-join of each part of Ω1 with each part of Ω2 in turn."""
+    anti-join of each group of Ω1 with each group of Ω2 in turn."""
     if not left.rows or not right.rows:
         return left
-    _, lslots, rslots, lkey, rkey, _ = _merge_plan(left.vars, right.vars)
-    lparts, rparts = _parts(left, lslots), _parts(right, rslots)
-    if lparts[0] is not left or rparts[0] is not right:
-        return pad(reduce(union, (reduce(diff, rparts, l) for l in lparts)), left.vars)
-    keys = set(map(rkey, right.rows))
-    return Rows(left.vars, {l for l in left.rows if lkey(l) not in keys})
+    _, lslots, rslots = _merge_plan(left.vars, right.vars)
+    rgroups = bound_groups(right.rows, rslots)
+    rows: set[tuple] = set()
+    for lbound, kept in bound_groups(left.rows, lslots).items():
+        for rbound, rgroup in rgroups.items():
+            lkey, rkey, _ = _pair_plan(left.vars, right.vars, lbound, rbound)
+            keys = set(map(rkey, rgroup))
+            kept = {l for l in kept if lkey(l) not in keys}
+        rows |= kept
+    return Rows(left.vars, rows)
 
 
 def union(left: Rows, right: Rows) -> Rows:

@@ -5,13 +5,21 @@ Under every semantics, each rewrite below gives the answers of the
 original instance, or the same QueryShapeError:
 - the operands of every JOIN swapped (⋈ is commutative);
 - the operands of every UNION swapped (∪ is commutative);
+- every JOIN(JOIN(a, b), c) reassociated to JOIN(a, JOIN(b, c)) (⋈ is
+  associative);
 - the individuals renamed by a permutation into fresh names, with the
   answers renamed the same way;
 - the TBox and ABox statements shuffled in the KB text.
+Every JOIN(a, UNION(b, c)) distributed to UNION(JOIN(a, b), JOIN(a, c)),
+and every JOIN(UNION(b, c), a) likewise, gives the same answers under
+each semantics that answers both queries: the copies of a's patterns
+raise the default chase bound, so both run at the larger one, and the
+UCQ-shape guard of certain-ucq can accept the distributed query alone.
 
 The instances come from `generate_instances` seeds that no other test
-draws, and each random choice from a generator seeded per instance, so the
-run is deterministic.  Answers are compared as slot rows.
+draws, each kept only if some semantics gives it an answer row, and each
+random choice from a generator seeded per instance, so the run is
+deterministic.  Answers are compared as slot rows.
 """
 
 import random
@@ -19,7 +27,7 @@ from itertools import islice
 
 import pytest
 
-from sparqlkb.chase import _model, chase, saturate
+from sparqlkb.chase import _model, chase, default_bound, saturate
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.harness import SizeParams, generate_instances
 from sparqlkb.kb import Atom, KnowledgeBase, Var, individual, parse_kb, serialize_kb
@@ -28,28 +36,43 @@ from sparqlkb.semantics import ROWS
 
 SEEDS = (707, 808, 909)
 PER_SEED = 220
+# each seed gives PER_SEED answered instances within this many draws (627,
+# 753 and 730 today)
+MAX_DRAWS = 1000
 
 
-def _answers(q: Query, kb: KnowledgeBase) -> dict:
+def _answers(q: Query, kb: KnowledgeBase, depth: int | None = None) -> dict:
     """Each semantics' answers as (variables, rows), or its shape error."""
     out = {}
     for name, rows in ROWS.items():
         try:
-            answer = rows(q, kb)
+            answer = rows(q, kb, depth)
             out[name] = (answer.vars, frozenset(answer.rows))
         except QueryShapeError as e:
             out[name] = str(e)
     return out
 
 
+def _answered(seed: int) -> list:
+    """(KB, query, answers) for the first PER_SEED instances of the seed's
+    stream that some semantics gives an answer row."""
+    found = []
+    for kb, q in islice(generate_instances(seed, SizeParams()), MAX_DRAWS):
+        answers = _answers(q, kb)
+        if any(not isinstance(a, str) and a[1] for a in answers.values()):
+            found.append((kb, q, answers))
+            if len(found) == PER_SEED:
+                break
+    return found
+
+
 @pytest.fixture(scope="module")
 def instances():
-    """(KB, query, answers) for each instance of the seeded streams."""
-    return [
-        (kb, q, _answers(q, kb))
-        for seed in SEEDS
-        for kb, q in islice(generate_instances(seed, SizeParams()), PER_SEED)
-    ]
+    """(KB, query, answers) for each answered instance of the seeded
+    streams; a generator that stops giving answer rows fails here."""
+    found = {seed: _answered(seed) for seed in SEEDS}
+    assert {seed: len(f) for seed, f in found.items()} == dict.fromkeys(SEEDS, PER_SEED)
+    return [instance for seed in SEEDS for instance in found[seed]]
 
 
 def _swapped(q: Query, op: type) -> Query:
@@ -60,6 +83,34 @@ def _swapped(q: Query, op: type) -> Query:
         return Select(q.vars, _swapped(q.body, op))
     left, right = _swapped(q.left, op), _swapped(q.right, op)
     return type(q)(right, left) if isinstance(q, op) else type(q)(left, right)
+
+
+def _reassociated(q: Query) -> Query:
+    """q with every JOIN(JOIN(a, b), c) rewritten to JOIN(a, JOIN(b, c)),
+    so that each chain of JOINs nests to the right."""
+    if isinstance(q, TriplePattern):
+        return q
+    if isinstance(q, Select):
+        return Select(q.vars, _reassociated(q.body))
+    left, right = _reassociated(q.left), _reassociated(q.right)
+    if isinstance(q, JoinQ) and isinstance(left, JoinQ):
+        return JoinQ(left.left, _reassociated(JoinQ(left.right, right)))
+    return type(q)(left, right)
+
+
+def _distributed(q: Query) -> Query:
+    """q with every JOIN that has a UNION operand rewritten to the UNION of
+    the JOINs of the other operand with each of the UNION's operands."""
+    if isinstance(q, TriplePattern):
+        return q
+    if isinstance(q, Select):
+        return Select(q.vars, _distributed(q.body))
+    left, right = _distributed(q.left), _distributed(q.right)
+    if isinstance(q, JoinQ) and isinstance(right, UnionQ):
+        return UnionQ(*(_distributed(JoinQ(left, r)) for r in (right.left, right.right)))
+    if isinstance(q, JoinQ) and isinstance(left, UnionQ):
+        return UnionQ(*(_distributed(JoinQ(l, right)) for l in (left.left, left.right)))
+    return type(q)(left, right)
 
 
 def _renamed_query(q: Query, rename: dict[str, str]) -> Query:
@@ -103,6 +154,28 @@ def test_swapping_join_operands(instances):
 
 def test_swapping_union_operands(instances):
     _check(instances, lambda rng, kb, q, answers: (kb, _swapped(q, UnionQ), answers))
+
+
+def test_reassociating_joins(instances):
+    assert any(_reassociated(q) != q for _, q, _ in instances)
+    _check(instances, lambda rng, kb, q, answers: (kb, _reassociated(q), answers))
+
+
+def test_distributing_join_over_union(instances):
+    assert any(_distributed(q) != q for _, q, _ in instances)
+    for kb, q, _ in instances:
+        q2 = _distributed(q)
+        if q2 == q:
+            continue
+        depth = max(default_bound(kb, q), default_bound(kb, q2))
+        before, after = _answers(q, kb, depth), _answers(q2, kb, depth)
+        answered = [
+            s for s in ROWS if isinstance(before[s], tuple) and isinstance(after[s], tuple)
+        ]
+        assert [before[s] for s in answered] == [after[s] for s in answered], (
+            serialize_kb(kb),
+            str(q),
+        )
 
 
 def test_renaming_individuals(instances):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import reference
 from conftest import m, ms, V
+from sparqlkb import graph
 from sparqlkb.graph import Rows, diff, join, project, to_mappings, union
 from sparqlkb.kb import Var, individual
 from sparqlkb.mappings import (
@@ -56,6 +57,18 @@ def _slot_rows(omega, extra=()):
 
 # Ω as mappings and as slot rows whose var list may hold variables no row binds
 slot_sets = st.builds(lambda omega, extra: (omega, _slot_rows(omega, extra)), mapping_sets, var_sets)
+
+
+def _y_split(rows):
+    """Operands over (x, y) and (y, z) built by `rows(names, *columns)`:
+    every 500th row of each leaves y, their only common variable, unbound,
+    so each splits into a group that binds y and one that does not."""
+    n = range(2000)
+    left = rows(("x", "y"), [f"c{i}" for i in n], [f"a{i}" if i % 500 else None for i in n])
+    right = rows(
+        ("y", "z"), [f"a{i + 1000}" if i % 500 else None for i in n], [f"b{i}" for i in n]
+    )
+    return left, right
 
 
 def _names(xs) -> frozenset[str]:
@@ -176,13 +189,30 @@ class TestHashAlgebra:
         # y alone, which rows of both operands sometimes leave unbound: each
         # such row is compatible with every row of the other operand
         compared.clear()
-        left = rows(("x", "y"), [f"c{i}" for i in n], [f"a{i}" if i % 500 else None for i in n])
-        right = rows(
-            ("y", "z"), [f"a{i + 1000}" if i % 500 else None for i in n], [f"b{i}" for i in n]
-        )
+        left, right = _y_split(rows)
         out = join(left, right)
         assert len(out) == 998 + 4 * 2000 + 1996 * 4
         assert len(compared) <= len(left) + len(out)
+
+    def test_split_operands_take_one_pass(self, monkeypatch):
+        """⋈ and ∖ of operands that split into groups on both sides are one
+        call each: no call re-enters join or diff, and none projects, pads or
+        unites groups."""
+        left, right = _y_split(lambda names, *columns: Rows(names, set(zip(*columns))))
+        calls = []
+        for name in ("join", "diff", "project", "pad", "union"):
+
+            def traced(*args, _name=name, _call=getattr(graph, name)):
+                calls.append(_name)
+                return _call(*args)
+
+            monkeypatch.setattr(graph, name, traced)
+        assert len(graph.join(left, right)) == 998 + 4 * 2000 + 1996 * 4
+        assert calls == ["join"]
+        calls.clear()
+        # each left row meets the right rows that leave y unbound
+        assert len(graph.diff(left, right)) == 0
+        assert calls == ["diff"]
 
 
 @st.composite
