@@ -5,15 +5,15 @@ evaluation at desk scale.  Anonymous witnesses are named by their creation
 path (``_:Alice|teachesTo|knows-``) so that chase output is textually stable;
 a trailing ``-`` on a path segment marks an inverse-role step.
 
-The chase is type-based: a named individual's type comes from the saturated
-ABox, and a witness created through role r has the type closure(∃r⁻), since
-its only edges are r and r's super-roles from its parent.  Both depend on
-the TBox alone (an individual's through the predicates of its facts), so
-the types and the witness records are derived once per saturated TBox and
-shared by every KB over it.  `_model` derives the model once per KB: the
-entailed ABox, the witness records its named types reach, and the
-consistency verdict; the chase, witness counts, satisfiability and the
-entailed ABox all read it.
+The chase is type-based, with one type derivation: an element's type is
+fixed by the TBox predicates of its facts.  A named individual's are its
+unary predicates and its edges' roles that the TBox mentions; a witness
+created through role r has one fact, its edge from its parent, so its type
+is closure(∃r⁻).  Both depend on the TBox alone, so each type is derived
+once per saturated TBox and shared by every KB over it.  `_model` derives
+the model once per KB: the entailed ABox, the witness records its named
+types reach, and the consistency verdict; the chase, witness counts,
+satisfiability and the entailed ABox all read it.
 A chase is read on demand: query evaluation walks the type graph from the
 elements a pattern is keyed to, and the chase is unfolded to its bound only
 when it is read whole.
@@ -51,10 +51,9 @@ class SaturatedTBox:
     supers: dict[RoleExpr, tuple[RoleExpr, ...]] = field(repr=False)
     implied: dict[BasicConcept, frozenset[BasicConcept]] = field(repr=False)
     disjoint: frozenset[tuple[BasicConcept, BasicConcept]]
-    # Types derived from this TBox alone, filled by `_model`: signature ->
-    # _Type, and role r -> the _Type and the _Witness of r's witnesses.
-    signature_types: dict = field(default_factory=dict, repr=False)
-    witnesses: dict = field(default_factory=dict, repr=False)
+    # The types derived from this TBox alone, filled by `_model`: the TBox
+    # predicates of an element's facts (its signature) -> _Type.
+    types: dict = field(default_factory=dict, repr=False)
 
     def super_roles(self, r: RoleExpr) -> tuple[RoleExpr, ...]:
         return self.supers.get(r, ())
@@ -196,9 +195,11 @@ class _Model(NamedTuple):
 
 
 def _signature_type(sat: SaturatedTBox, key: frozenset) -> _Type:
-    """The type of the individuals whose facts' predicates are key: unary
-    predicate names, and (p, inverse) for their edges of p."""
-    memo = sat.signature_types
+    """The type of the elements whose facts' TBox predicates are key: the
+    concept names of their unary facts, and (p, inverse) for their edges
+    of TBox role p.  A witness created through r has one fact, its edge
+    from its parent, so its key is {(r's name, r is not an inverse)}."""
+    memo = sat.types
     typ = memo.get(key)
     if typ is None:
         if len(memo) >= _SIGNATURE_TYPES:
@@ -208,29 +209,16 @@ def _signature_type(sat: SaturatedTBox, key: frozenset) -> _Type:
             if isinstance(k, str):
                 satisfied.add(BasicConcept("atomic", k))
             else:
-                r = RoleExpr(*k)
-                satisfied.update(exists(s) for s in sat.super_roles(r) or (r,))
+                satisfied.update(exists(s) for s in sat.super_roles(RoleExpr(*k)))
         typ = memo[key] = _type(satisfied, sat)
     return typ
-
-
-def _witness(sat: SaturatedTBox, r: RoleExpr) -> tuple[_Type, _Witness]:
-    """The type and the record of the witnesses created through r."""
-    found = sat.witnesses.get(r)
-    if found is None:
-        typ = _type({exists(s.inverted()) for s in sat.super_roles(r)}, sat)
-        edges = tuple((s.name, s.inverse) for s in sat.super_roles(r))
-        record = _Witness(edges, typ.atomic, tuple(map(_segment, typ.fire)))
-        found = sat.witnesses[r] = (typ, record)
-    return found
 
 
 # Small caches, here and on `chase`: a request rarely reuses another's KB,
 # and every entry keeps a whole model alive, which lengthens full garbage
 # collections.  The types live with the saturated TBox and die with
-# `saturate`'s entry: at most _SIGNATURE_TYPES signature types per TBox, the
-# oldest evicted first (a signature can name ABox-only predicates), and one
-# witness entry per role expression of the TBox, 2·|roles|.
+# `saturate`'s entry: at most _SIGNATURE_TYPES per TBox, the oldest evicted
+# first, since the subsets of a TBox's concepts can outnumber any bound.
 _SIGNATURE_TYPES = 512
 
 
@@ -238,12 +226,10 @@ _SIGNATURE_TYPES = 512
 def _model(kb: KnowledgeBase) -> _Model:
     """The model of a KB, derived once per KB from the types of its TBox.
 
-    An individual's satisfied concepts come from its facts: its unary
-    predicates, and ∃s for every super-role s of the role of each of its
-    edges (which role saturation materializes).  Individuals with the same
-    facts' predicates share one type.  A witness created through r has the
-    type closure(∃r⁻), since its edge from its parent is saturated to every
-    super-role of r.  Those types come from the saturated TBox; what
+    An element's type is read off its signature (see `_signature_type`).
+    A fact over a predicate the TBox never mentions is in the entailed
+    ABox already, and no axiom implies it or is implied by it, so it is
+    left out.  Elements with the same signature share one type.  What
     depends on the KB is derived here: the entailed ABox, `witness`, the
     records of every role reachable from the named types through fired
     roles, and `carried` and `consistent`, read off the types reached.
@@ -253,13 +239,18 @@ def _model(kb: KnowledgeBase) -> _Model:
     index: dict[str, set[tuple[str, ...]]] = {p: set(rows) for p, rows in facts.items()}
     signature: dict[str, set] = {t: set() for t in kb.encoded.adom}
     for p, rows in facts.items():
+        is_role = p in sat.role_names
+        is_concept = BasicConcept("atomic", p) in sat.implied
         out_key, in_key = (p, False), (p, True)
-        for args in rows:
+        for args in rows if is_role or is_concept else ():
             if len(args) == 2:
-                signature[args[0]].add(out_key)
-                signature[args[1]].add(in_key)
-            else:
+                if is_role:
+                    signature[args[0]].add(out_key)
+                    signature[args[1]].add(in_key)
+            elif is_concept:
                 signature[args[0]].add(p)
+        if not is_role:
+            continue
         role = RoleExpr(p)
         supers = [s for s in sat.super_roles(role) if s != role]
         binary = [args for args in rows if len(args) == 2] if supers else []
@@ -288,9 +279,11 @@ def _model(kb: KnowledgeBase) -> _Model:
         r = pending.pop()
         segment = _segment(r)
         if segment not in witness:
-            wtype, witness[segment] = _witness(sat, r)
-            reached.append(wtype)
-            pending.extend(wtype.fire)
+            typ = _signature_type(sat, frozenset({(r.name, not r.inverse)}))
+            edges = tuple([(s.name, s.inverse) for s in sat.super_roles(r)])
+            witness[segment] = _Witness(edges, typ.atomic, tuple(map(_segment, typ.fire)))
+            reached.append(typ)
+            pending.extend(typ.fire)
     carried = {a for w in witness.values() for a in w.atomic}
     carried.update(p for w in witness.values() for p, _ in w.edges)
     consistent = not any(typ.clash for typ in reached)

@@ -5,7 +5,7 @@ from itertools import chain, combinations, islice, product
 
 import pytest
 
-from conftest import load_kb, load_query
+from conftest import load_kb, load_query, m, ms
 import reference
 from sparqlkb import chase as chase_module
 from sparqlkb.chase import (
@@ -36,7 +36,7 @@ from sparqlkb.kb import (
 )
 from sparqlkb.graph import evaluate
 from sparqlkb.query import JoinQ, OptQ, TriplePattern, parse_query
-from sparqlkb.semantics import SEMANTICS, m_can_ans
+from sparqlkb.semantics import SEMANTICS, can_ans, er_ans, m_can_ans
 
 
 class TestSaturate:
@@ -314,8 +314,8 @@ def _branching_abox(names: str) -> frozenset[Atom]:
 
 
 class TestTypesPerTBox:
-    """The types and witness records are derived once per saturated TBox
-    and shared by the KBs over it; each KB's model is its own."""
+    """The types are derived once per saturated TBox and shared by the
+    KBs over it; each KB's model and witness records are its own."""
 
     def test_a_renamed_abox_derives_no_type(self, monkeypatch):
         derived = _count_types(monkeypatch)
@@ -330,20 +330,66 @@ class TestTypesPerTBox:
 
     def test_the_signature_memo_is_bounded(self, monkeypatch):
         """More distinct signatures than the cap, over one TBox: each
-        individual has its own ABox-only predicate."""
+        individual holds its own subset of ten TBox concepts."""
         cap = chase_module._SIGNATURE_TYPES
         derived = _count_types(monkeypatch)
+        concepts = [f"C{i}" for i in range(10)]
+        tbox = BRANCHING.tbox | {
+            ConceptInclusion(BasicConcept("atomic", c), BasicConcept("atomic", "D"))
+            for c in concepts
+        }
         names = [f"i{n}" for n in range(cap + 10)]
-        atoms = {Atom(f"P{n}", (individual(name),)) for n, name in enumerate(names)}
+        atoms = {
+            Atom(c, (individual(name),))
+            for n, name in enumerate(names)
+            for i, c in enumerate(concepts)
+            if n >> i & 1
+        }
         atoms.update(Atom("A", (individual(name),)) for name in names[::2])
-        kb = KnowledgeBase(BRANCHING.tbox, frozenset(atoms))
+        kb = KnowledgeBase(tbox, frozenset(atoms))
         assert is_satisfiable(kb)
         assert len(derived) > cap
-        sat = saturate(kb.tbox)
-        assert len(sat.signature_types) == cap
-        assert len(sat.witnesses) <= 2 * len(sat.role_names)
+        assert len(saturate(kb.tbox).types) == cap
         fire = chase_module._model(kb).fire
         assert [fire[name] for name in names] == [("r",), ()] * ((cap + 10) // 2)
+
+    def test_abox_only_predicates_derive_one_type(self, monkeypatch):
+        """Predicates that the TBox never mentions make no signature: 20
+        individuals with pairwise distinct ones share the empty type."""
+        derived = _count_types(monkeypatch)
+        atoms = {
+            Atom(f"P{j}", (individual(f"i{n}"),)) for n in range(20) for j in range(n + 1)
+        }
+        kb = KnowledgeBase(frozenset(), frozenset(atoms))
+        assert is_satisfiable(kb)
+        assert len(derived) == 1
+        assert len(chase_module._model(kb).fire) == 20
+
+    def test_a_name_of_both_arities(self):
+        """A KB built through its constructor can use a TBox concept as a
+        binary predicate and a TBox role as a unary one: only the concept's
+        unary facts and the role's binary facts type an individual."""
+        a, b, c, d, e, f = (individual(n) for n in "abcdef")
+        kb = KnowledgeBase(
+            parse_kb(
+                "TBOX: A [= exists r . exists inv(r) [= B . B [= not C . ABOX: A(a) ."
+            ).tbox,
+            frozenset({
+                Atom("A", (a,)), Atom("A", (b, c)), Atom("r", (d,)), Atom("r", (e, f)),
+            }),
+        )
+        for ans in (can_ans, m_can_ans):
+            assert ans(parse_query("A(?x)"), kb) == ms(m(x="a"))
+            assert ans(parse_query("B(?x)"), kb) == ms(m(x="f"))
+            assert ans(parse_query("A(?x, ?y)"), kb) == ms(m(x="b", y="c"))
+            assert ans(parse_query("r(?x)"), kb) == ms(m(x="d"))
+        q = parse_query("SELECT{x}(JOIN(A(?x), r(?x, ?y)))")
+        assert can_ans(q, kb) == ms(m(x="a"))
+        assert er_ans(q, kb) == ms()
+        assert " ".join(sorted(map(str, chase(kb, 2).graph))) == (
+            "A(a) A(b, c) B(_:a|r) B(f) r(a, _:a|r) r(d) r(e, f)"
+        )
+        assert witness_count(kb, 3) == 1
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_a_clash_one_kb_reaches_leaves_another_satisfiable(self, first):

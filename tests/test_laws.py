@@ -19,7 +19,11 @@ UCQ-shape guard of certain-ucq can accept the distributed query alone.
 The instances come from `generate_instances` seeds that no other test
 draws, each kept only if some semantics gives it an answer row, and each
 random choice from a generator seeded per instance, so the run is
-deterministic.  Answers are compared as slot rows.
+deterministic.  Answers are compared as slot rows.  The generator rarely
+nests a JOIN under a JOIN or over a UNION, so reassociation and
+distribution also run on JOIN(JOIN(a, b), c) and JOIN(a, UNION(b, c)),
+composed of answered subtrees of each instance's query.  Each law asserts
+a floor on the instances that its rewrite changes.
 """
 
 import random
@@ -59,7 +63,7 @@ def _answered(seed: int) -> list:
     found = []
     for kb, q in islice(generate_instances(seed, SizeParams()), MAX_DRAWS):
         answers = _answers(q, kb)
-        if any(not isinstance(a, str) and a[1] for a in answers.values()):
+        if _has_rows(answers):
             found.append((kb, q, answers))
             if len(found) == PER_SEED:
                 break
@@ -73,6 +77,33 @@ def instances():
     found = {seed: _answered(seed) for seed in SEEDS}
     assert {seed: len(f) for seed, f in found.items()} == dict.fromkeys(SEEDS, PER_SEED)
     return [instance for seed in SEEDS for instance in found[seed]]
+
+
+@pytest.fixture(scope="module")
+def parts(instances):
+    """Three subtrees of each instance's query, drawn from those that some
+    semantics gives an answer row (from all of them if none has one)."""
+    drawn = []
+    for i, (kb, q, _) in enumerate(instances):
+        subtrees = list(_subtrees(q))
+        answered = [t for t in subtrees if _has_rows(_answers(t, kb))] or subtrees
+        rng = random.Random(i)
+        drawn.append(tuple(rng.choice(answered) for _ in range(3)))
+    return drawn
+
+
+def _has_rows(answers: dict) -> bool:
+    return any(not isinstance(a, str) and a[1] for a in answers.values())
+
+
+def _subtrees(q: Query):
+    """q and every query node below it."""
+    yield q
+    if isinstance(q, Select):
+        yield from _subtrees(q.body)
+    elif not isinstance(q, TriplePattern):
+        yield from _subtrees(q.left)
+        yield from _subtrees(q.right)
 
 
 def _swapped(q: Query, op: type) -> Query:
@@ -140,42 +171,69 @@ def _renamed_answers(answers: dict, rename: dict[str, str]) -> dict:
     }
 
 
-def _check(instances, rewrite) -> None:
+def _check(instances, rewrite) -> int:
     """Every instance's rewrite, (KB', query', expected answers), gives
-    the expected answers."""
+    the expected answers.  Returns how many rewrites changed the query or
+    the KB."""
+    changed = 0
     for i, (kb, q, answers) in enumerate(instances):
         kb2, q2, expected = rewrite(random.Random(i), kb, q, answers)
         assert _answers(q2, kb2) == expected, (serialize_kb(kb), str(q))
+        changed += (q2, kb2) != (q, kb)
+    return changed
 
 
 def test_swapping_join_operands(instances):
-    _check(instances, lambda rng, kb, q, answers: (kb, _swapped(q, JoinQ), answers))
+    swapped = _check(instances, lambda rng, kb, q, answers: (kb, _swapped(q, JoinQ), answers))
+    assert swapped >= 300
 
 
 def test_swapping_union_operands(instances):
-    _check(instances, lambda rng, kb, q, answers: (kb, _swapped(q, UnionQ), answers))
+    swapped = _check(instances, lambda rng, kb, q, answers: (kb, _swapped(q, UnionQ), answers))
+    assert swapped >= 300
 
 
-def test_reassociating_joins(instances):
-    assert any(_reassociated(q) != q for _, q, _ in instances)
-    _check(instances, lambda rng, kb, q, answers: (kb, _reassociated(q), answers))
+def _both_answer(before: dict, after: dict, kb: KnowledgeBase, q: Query) -> list:
+    """The semantics that answer both q and its rewrite, with equal answers."""
+    both = [s for s in ROWS if isinstance(before[s], tuple) and isinstance(after[s], tuple)]
+    assert [before[s] for s in both] == [after[s] for s in both], (serialize_kb(kb), str(q))
+    return both
 
 
-def test_distributing_join_over_union(instances):
-    assert any(_distributed(q) != q for _, q, _ in instances)
-    for kb, q, _ in instances:
-        q2 = _distributed(q)
-        if q2 == q:
-            continue
-        depth = max(default_bound(kb, q), default_bound(kb, q2))
-        before, after = _answers(q, kb, depth), _answers(q2, kb, depth)
-        answered = [
-            s for s in ROWS if isinstance(before[s], tuple) and isinstance(after[s], tuple)
-        ]
-        assert [before[s] for s in answered] == [after[s] for s in answered], (
+def test_reassociating_joins(instances, parts):
+    """Also on each composed JOIN(JOIN(a, b), c), at the chase bound of
+    the instance's query: the composition's own bound can be far deeper."""
+    changed = _check(instances, lambda rng, kb, q, answers: (kb, _reassociated(q), answers))
+    assert changed >= 70
+    answered = 0
+    for (kb, q, _), (a, b, c) in zip(instances, parts):
+        composed, depth = JoinQ(JoinQ(a, b), c), default_bound(kb, q)
+        expected = _answers(composed, kb, depth)
+        assert _answers(_reassociated(composed), kb, depth) == expected, (
             serialize_kb(kb),
-            str(q),
+            str(composed),
         )
+        answered += _has_rows(expected)
+    assert answered >= 500
+
+
+def test_distributing_join_over_union(instances, parts):
+    """On each instance whose query distribution changes, at the larger of
+    the two default bounds, and on each composed JOIN(a, UNION(b, c)) at
+    the chase bound of the instance's query."""
+    changed = answered = 0
+    for (kb, q, _), (a, b, c) in zip(instances, parts):
+        q2 = _distributed(q)
+        if q2 != q:
+            depth = max(default_bound(kb, q), default_bound(kb, q2))
+            _both_answer(_answers(q, kb, depth), _answers(q2, kb, depth), kb, q)
+            changed += 1
+        composed, depth = JoinQ(a, UnionQ(b, c)), default_bound(kb, q)
+        before = _answers(composed, kb, depth)
+        both = _both_answer(before, _answers(_distributed(composed), kb, depth), kb, composed)
+        answered += any(before[s][1] for s in both)
+    assert changed >= 35
+    assert answered >= 500
 
 
 def test_renaming_individuals(instances):
@@ -193,7 +251,7 @@ def test_renaming_individuals(instances):
             _renamed_answers(answers, rename),
         )
 
-    _check(instances, rewrite)
+    assert _check(instances, rewrite) == len(instances)
 
 
 def test_shuffling_statements(instances):
@@ -201,14 +259,20 @@ def test_shuffling_statements(instances):
     caches keyed by KB or TBox are emptied first: the answers must come
     from the shuffled KB itself."""
 
+    moved = 0
+
     def rewrite(rng, kb, q, answers):
+        nonlocal moved
         lines = serialize_kb(kb).splitlines()
         split = lines.index("ABOX:")
         tbox, abox = lines[1:split], lines[split + 1 :]
+        order = (tbox[:], abox[:])
         rng.shuffle(tbox)
         rng.shuffle(abox)
+        moved += (tbox, abox) != order
         for cache in (saturate, _model, chase):
             cache.cache_clear()
         return parse_kb("\n".join(["TBOX:", *tbox, "ABOX:", *abox])), q, answers
 
     _check(instances, rewrite)
+    assert moved >= 600

@@ -106,6 +106,15 @@ class TestShapeGuards:
         with pytest.raises(QueryShapeError):
             cert_ans_ucq(load_query("ex2.sq"), load_kb("ex2.kb"))
 
+    def test_the_ucq_guard_is_syntactic(self):
+        """certain-ucq rejects a JOIN over a UNION and answers its
+        distributed UNION of JOINs, which has the same answers."""
+        kb = parse_kb("TBOX: A [= exists r . ABOX: A(a) . A(b) . s(b, c) . r(c, d) .")
+        with pytest.raises(QueryShapeError):
+            cert_ans_ucq(parse_query("JOIN(A(?x), UNION(r(?x,?y), s(?x,?y)))"), kb)
+        q = parse_query("UNION(JOIN(A(?x), r(?x,?y)), JOIN(A(?x), s(?x,?y)))")
+        assert cert_ans_ucq(q, kb) == ms(m(x="b", y="c"))
+
     def test_union_free_variant_rejects_union(self):
         q = UnionQ(TriplePattern("A", (X,)), TriplePattern("B", (X,)))
         with pytest.raises(QueryShapeError):
