@@ -8,6 +8,13 @@ defined below on slot rows: Ω ▷ B keeps the rows that range inside the term
 set B, Ω ▶ B unbinds every value outside B, and `otimes` is the general
 Ω ⊗ 𝒳.  `mcan` unbinds each domain group of a branch's rows to the largest
 admissible subset of the domain, read off base: that is ⊗ adm(branch).
+
+Over the chase, ▷, ▶ and ⊗ change only the rows that hold a witness, a
+value outside the active domain.  ▶ leaves every other row as it is, and
+its domain is in adm(q), by induction over TP, JOIN, OPT, UNION and SELECT,
+so ⊗ adm(q) leaves it too.  So each semantics that reads the chase finds
+the witness rows first, from the set of values its rows hold, and runs its
+post-ops on those rows alone.
 """
 
 from __future__ import annotations
@@ -50,16 +57,23 @@ from .query import (
 )
 
 
+def _witness_rows(rows: Rows, b: frozenset[str]) -> set[tuple]:
+    """The rows that hold a value outside B, read off the set of values the
+    rows hold: when that set lies inside B, there are none at once."""
+    outside = set().union(*rows.rows) - b
+    outside.discard(None)
+    return {row for row in rows.rows if not outside.isdisjoint(row)} if outside else set()
+
+
 def restrict_filter(rows: Rows, b: frozenset[str]) -> Rows:
     """Ω ▷ B: keep only the rows whose values all lie in B."""
-    allowed = b | {None}
-    return Rows(rows.vars, {row for row in rows.rows if allowed.issuperset(row)})
+    held = _witness_rows(rows, b)
+    return Rows(rows.vars, rows.rows - held) if held else rows
 
 
 def restrict_project(rows: Rows, b: frozenset[str]) -> Rows:
     """Ω ▶ B: unbind every slot whose value is not in B."""
-    keep = {name: name for name in b}.get
-    return Rows(rows.vars, {tuple(map(keep, row)) for row in rows.rows})
+    return Rows(rows.vars, {tuple(v if v in b else None for v in row) for row in rows.rows})
 
 
 def _restrict_domains(rows: Rows, tops: Callable[[VarSet], Iterable[VarSet]]) -> Rows:
@@ -133,7 +147,13 @@ def can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
 def rest_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Answers over the canonical model, each projected onto its
     active-domain-valued bindings."""
-    return restrict_project(evaluate(q, _chase(q, kb, depth)), kb.encoded.adom)
+    answers = evaluate(q, _chase(q, kb, depth))
+    # ▶ leaves a row whose values all lie in adom as it is
+    held = _witness_rows(answers, kb.encoded.adom)
+    if not held:
+        return answers
+    restricted = restrict_project(Rows(answers.vars, held), kb.encoded.adom)
+    return Rows(answers.vars, answers.rows - held | restricted.rows)
 
 
 def m_can_sjo_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
@@ -155,11 +175,16 @@ def m_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
         else:
             branch_rows = pad(evaluate(qb, cg), full.vars)
             answers = Rows(full.vars, full.rows & branch_rows.rows)
-        restricted = restrict_project(answers, kb.encoded.adom)
-        # Ω ⊗ adm(qb): the admissible sets inside a row domain are closed
-        # under union, so the largest, read off base, is the only maximal
-        # one; adm(qb) itself has 2^k members for k OPTs.
-        out.update(_restrict_domains(restricted, partial(max_admissible_subsets, qb)).rows)
+        # (Ω ▶ adom) ⊗ adm(qb): ▶ leaves a row without a witness as it is,
+        # and its domain, that of a row of ans(qb), is in adm(qb), so ⊗
+        # leaves it too.  Inside a witness row's domain the admissible sets
+        # are closed under union, so the largest, read off base, is the
+        # only maximal one; adm(qb) itself has 2^k members for k OPTs.
+        held = _witness_rows(answers, kb.encoded.adom)
+        out.update(answers.rows - held)
+        if held:
+            restricted = restrict_project(Rows(full.vars, held), kb.encoded.adom)
+            out.update(_restrict_domains(restricted, partial(max_admissible_subsets, qb)).rows)
     return Rows(full.vars, out)
 
 

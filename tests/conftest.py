@@ -1,5 +1,6 @@
 """Shared fixtures and small builders for the test suite."""
 
+import random
 from pathlib import Path
 
 from sparqlkb.kb import Term, Var, anonymous, individual, parse_kb
@@ -47,3 +48,23 @@ def join_chain(n: int, left_deep: bool = True) -> str:
         step = f"r(?x, ?y{i})"
         text = f"JOIN({text}, {step})" if left_deep else f"JOIN({step}, {text})"
     return text
+
+
+def teaching_kb_text() -> str:
+    """A teaching-opt-shaped KB: 200 teachers, 100 teachesTo and 100 knows
+    facts; teachers without a named student get a witness."""
+    rng = random.Random(7)
+    facts = {f"Teacher(T{i})" for i in range(200)}
+    while len(facts) < 300:
+        facts.add(f"teachesTo(T{rng.randrange(200)}, S{rng.randrange(200)})")
+    while len(facts) < 400:
+        facts.add(f"knows(S{rng.randrange(200)}, S{rng.randrange(200)})")
+    return (
+        "TBOX:\nTeacher [= exists teachesTo .\nteachesTo [= inv(hasTeacher) .\n"
+        "exists inv(teachesTo) [= Student .\nStudent [= Person .\n"
+        "Teacher [= Person .\nPerson [= not Car .\nABOX:\n"
+        + "".join(f"{f} .\n" for f in sorted(facts))
+    )
+
+
+TEACHING_QUERY = "SELECT{x,z}( OPT( teachesTo(?x, ?y), knows(?y, ?z) ) )"

@@ -2,12 +2,11 @@
 
 import io
 import json
-import random
 import time
 
 import pytest
 
-from conftest import FIXTURES, join_chain
+from conftest import FIXTURES, TEACHING_QUERY, join_chain, teaching_kb_text
 from sparqlkb import SEMANTICS
 from sparqlkb.kb import Atom, Term
 from sparqlkb.mappings import SolutionMapping
@@ -100,23 +99,10 @@ class TestBoundary:
     def test_one_request_builds_public_types_only_at_the_boundary(
         self, tmp_path, monkeypatch
     ):
-        # a teaching-opt-shaped KB: 200 teachers, 100 teachesTo and 100
-        # knows facts; teachers without a named student get a witness
-        rng = random.Random(7)
-        facts = {f"Teacher(T{i})" for i in range(200)}
-        while len(facts) < 300:
-            facts.add(f"teachesTo(T{rng.randrange(200)}, S{rng.randrange(200)})")
-        while len(facts) < 400:
-            facts.add(f"knows(S{rng.randrange(200)}, S{rng.randrange(200)})")
         kb = tmp_path / "teaching.kb"
-        kb.write_text(
-            "TBOX:\nTeacher [= exists teachesTo .\nteachesTo [= inv(hasTeacher) .\n"
-            "exists inv(teachesTo) [= Student .\nStudent [= Person .\n"
-            "Teacher [= Person .\nPerson [= not Car .\nABOX:\n"
-            + "".join(f"{f} .\n" for f in sorted(facts))
-        )
+        kb.write_text(teaching_kb_text())
         q = tmp_path / "teaching.sq"
-        q.write_text("SELECT{x,z}( OPT( teachesTo(?x, ?y), knows(?y, ?z) ) )\n")
+        q.write_text(TEACHING_QUERY + "\n")
         built = {Atom: 0, SolutionMapping: 0, Term: 0}
         for cls in built:
             check = cls.__post_init__

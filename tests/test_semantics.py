@@ -1,13 +1,14 @@
 """The six semantics on the worked examples and their structural relations."""
 
 from itertools import islice
+from unittest import mock
 
 import pytest
 
 import reference
 import sparqlkb.query
 import sparqlkb.semantics
-from conftest import load_kb, load_query, m, ms
+from conftest import TEACHING_QUERY, load_kb, load_query, m, ms, teaching_kb_text
 from sparqlkb.chase import chase, default_bound
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.graph import evaluate, sparql_ans_branch
@@ -21,10 +22,12 @@ from sparqlkb.query import (
     UnionQ,
     adm,
     branch,
+    is_admissible,
     parse_query,
     serialize_query,
 )
 from sparqlkb.semantics import (
+    ROWS,
     SEMANTICS,
     can_ans,
     cert_ans_ucq,
@@ -276,3 +279,88 @@ class TestSlotRowEngine:
                     lazy, full = evaluate(x, cg), evaluate(x, cg.graph.index)
                     assert (lazy.vars, lazy.rows) == (full.vars, full.rows), (
                         bound, serialize_query(x))
+
+
+def _chased_instances():
+    """The first 300 instances of three generated streams, each at the
+    default chase bound and at bounds 1 and 4, with its chase."""
+    for seed in (3, 7, 606):
+        for kb, q in islice(generate_instances(seed, SizeParams()), 300):
+            for depth in (None, 1, 4):
+                yield kb, q, depth, chase(kb, default_bound(kb, q) if depth is None else depth)
+
+
+def _holds_witness(row, adom) -> bool:
+    return any(name is not None and name not in adom for name in row)
+
+
+class TestWitnessRows:
+    """▷, ▶ and ⊗ change only the rows that hold a witness.  ▶ leaves every
+    other row as it is, and the domain of each row of ans(qb) is in
+    adm(qb), so ⊗ adm(qb) leaves it too: the semantics run their post-ops
+    on the witness rows alone."""
+
+    def test_every_branch_row_has_an_admissible_domain(self):
+        checked = 0
+        for kb, q, depth, cg in _chased_instances():
+            for qb in branch(q):
+                rows = evaluate(qb, cg)
+                for row in rows.rows:
+                    dom = frozenset(Var(v) for v, name in zip(rows.vars, row) if name is not None)
+                    assert is_admissible(qb, dom), (serialize_query(qb), row)
+                checked += len(rows)
+        assert checked >= 10_000
+
+    def test_no_semantics_returns_a_witness_name(self):
+        rows_seen = 0
+        for kb, q, depth, _ in _chased_instances():
+            for name, rows_of in ROWS.items():
+                try:
+                    rows = rows_of(q, kb, depth)
+                except QueryShapeError:
+                    continue
+                for row in rows.rows:
+                    assert not any(v is not None and v.startswith("_:") for v in row), name
+                rows_seen += len(rows)
+        assert rows_seen >= 5_000
+
+    def test_answer_sets_with_and_without_witness_rows_match_the_reference(self):
+        mixed = 0
+        for kb, q, depth, cg in _chased_instances():
+            held = [_holds_witness(row, kb.encoded.adom) for row in evaluate(q, cg).rows]
+            if all(held) or not any(held):
+                continue
+            mixed += 1
+            bound = default_bound(kb, q) if depth is None else depth
+            with mock.patch.object(reference, "default_bound", lambda kb, q: bound):
+                for name in ("canonical", "restricted", "mcan"):
+                    expected = reference.SEMANTICS[name](q, kb)
+                    assert SEMANTICS[name](q, kb, depth) == expected, (name, serialize_query(q))
+        assert mixed >= 100
+
+    @pytest.mark.parametrize("shape", ["nested-opt", "teaching-opt"])
+    def test_witness_free_answers_skip_the_post_ops(self, shape, monkeypatch):
+        if shape == "nested-opt":
+            # an empty TBox and a chain of 10 OPTs: the chase adds no witness
+            text = "A(?x)"
+            for i in range(10):
+                text = f"OPT({text}, p{i}(?x, ?y{i}))"
+            kb = parse_kb(
+                "TBOX: ABOX: A(a) . A(b) . A(c) . p1(a, b) . p1(a, c) . p4(a, d) . "
+                "p4(b, a) . p9(c, c) . p9(c, d) ."
+            )
+            q = parse_query(text)
+        else:
+            # the witnesses are bound to ?y only, which the SELECT drops
+            kb, q = parse_kb(teaching_kb_text()), parse_query(TEACHING_QUERY)
+        names = ("canonical", "restricted", "mcan")
+        expected = {name: SEMANTICS[name](q, kb) for name in names}
+        assert all(expected.values())
+
+        def unreachable(*args):
+            raise AssertionError("a post-op ran on a witness-free row")
+
+        monkeypatch.setattr(sparqlkb.semantics, "restrict_project", unreachable)
+        monkeypatch.setattr(sparqlkb.semantics, "_restrict_domains", unreachable)
+        for name in names:
+            assert SEMANTICS[name](q, kb) == expected[name] == reference.SEMANTICS[name](q, kb)
