@@ -20,7 +20,6 @@ from .kb import (
     RoleInclusion,
     Term,
     Var,
-    exists,
     individual,
     parse_kb,
     serialize_kb,
@@ -103,7 +102,9 @@ def _offending(
     5: the answers of a UNION that one operand does not give and whose domain
     the other does not admit."""
     if req_id == 1:
-        return answers ^ _try_semantics("certain-ucq", q, kb) if is_ucq_shape(q) else None
+        # certain-ucq rejects exactly the queries that are not UCQ-shaped
+        certain = _try_semantics("certain-ucq", q, kb)
+        return None if certain is None else answers ^ certain
     if req_id == 2:
         return None if kb.tbox else answers ^ _try_semantics("plain", q, kb)
     if req_id == 4:

@@ -15,11 +15,16 @@ its domain is in adm(q), by induction over TP, JOIN, OPT, UNION and SELECT,
 so ⊗ adm(q) leaves it too.  So each semantics that reads the chase finds
 the witness rows first, from the set of values its rows hold, and runs its
 post-ops on those rows alone.
+
+Each row function takes `over`, the function it evaluates a query over a
+chase with: `evaluate` for `eval`, which runs one semantics per request,
+and the memo `evaluate_once` for the library functions, which a check run
+calls for every semantics on the same (q, KB).
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 from .chase import ChaseGraph, chase, default_bound, entailed_abox
@@ -95,7 +100,7 @@ def otimes(rows: Rows, family: VarSetFamily) -> Rows:
     return _restrict_domains(rows, tops)
 
 
-def plain_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
+def plain_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
     """SPARQL answers over the ABox viewed as a plain graph; TBox ignored."""
     return evaluate(q, kb.encoded.facts)
 
@@ -117,14 +122,14 @@ def is_ucq_shape(q: Query) -> bool:
     return len(seen_vars) == 1
 
 
-def cert_ucq_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
+def cert_ucq_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
     """Certain answers, via the canonical-model characterization; UCQs only."""
     if not is_ucq_shape(q):
         raise QueryShapeError("certain-answer semantics requires a UCQ-shaped query")
-    return can_rows(q, kb, depth)
+    return can_rows(q, kb, depth, over)
 
 
-def er_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
+def er_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
     """Entailment-regime answers: certain answers at triple patterns, then
     the standard operator algebra.
 
@@ -139,15 +144,15 @@ def _chase(q: Query, kb: KnowledgeBase, depth: int | None) -> ChaseGraph:
     return chase(kb, default_bound(kb, q) if depth is None else depth)
 
 
-def can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
+def can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
     """Answers over the canonical model, filtered to the active domain."""
-    return restrict_filter(evaluate(q, _chase(q, kb, depth)), kb.encoded.adom)
+    return restrict_filter(over(q, _chase(q, kb, depth)), kb.encoded.adom)
 
 
-def rest_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
+def rest_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
     """Answers over the canonical model, each projected onto its
     active-domain-valued bindings."""
-    answers = evaluate(q, _chase(q, kb, depth))
+    answers = over(q, _chase(q, kb, depth))
     # ▶ leaves a row whose values all lie in adom as it is
     held = _witness_rows(answers, kb.encoded.adom)
     if not held:
@@ -156,24 +161,24 @@ def rest_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows
     return Rows(answers.vars, answers.rows - held | restricted.rows)
 
 
-def m_can_sjo_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
+def m_can_sjo_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
     """Maximal admissible canonical answers for UNION-free queries."""
     if not is_union_free(q):
         raise QueryShapeError("SJO semantics requires a UNION-free query")
-    return m_can_rows(q, kb, depth)
+    return m_can_rows(q, kb, depth, over)
 
 
-def m_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
+def m_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
     """Maximal admissible canonical answers, per branch, for SUJO queries."""
     cg = _chase(q, kb, depth)
-    full = evaluate(q, cg)
+    full = over(q, cg)
     out: set[tuple] = set()
     for qb in branch(q):
         # sparql_ans_branch(q, cg.graph, qb), with q evaluated once
         if qb == q:
             answers = full
         else:
-            branch_rows = pad(evaluate(qb, cg), full.vars)
+            branch_rows = pad(over(qb, cg), full.vars)
             answers = Rows(full.vars, full.rows & branch_rows.rows)
         # (Ω ▶ adom) ⊗ adm(qb): ▶ leaves a row without a witness as it is,
         # and its domain, that of a row of ans(qb), is in adm(qb), so ⊗
@@ -199,12 +204,27 @@ ROWS = {
 """Each semantics by name, as slot rows; `eval` prints these."""
 
 
+@lru_cache(maxsize=16)
+def evaluate_once(q: Query, cg: ChaseGraph) -> Rows:
+    """evaluate(q, cg), shared: the canonical, certain-ucq, restricted and
+    mcan answers all start from ans(q) over the canonical model, and a check
+    run asks for each of them, and for mcan's branches, on the same (q, KB).
+
+    Sharing is exact.  `evaluate` is a pure function of (q, cg); a ChaseGraph
+    is immutable and hashes by identity, so an entry keeps its chase alive
+    and no other chase meets its key.  No operator or semantics changes a
+    Rows it is given or returns (see graph.Rows), so each caller reads the
+    rows as `evaluate` returned them.
+    """
+    return evaluate(q, cg)
+
+
 def _public(rows: Callable[..., Rows], name: str) -> Callable[..., MappingSet]:
     """The library form of a row semantics: the same arguments, and its
-    answers as SolutionMappings."""
+    answers as SolutionMappings, read off the chase through `evaluate_once`."""
 
     def answers(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
-        return to_mappings(rows(q, kb, depth))
+        return to_mappings(rows(q, kb, depth, evaluate_once))
 
     answers.__name__ = answers.__qualname__ = name
     answers.__doc__ = rows.__doc__

@@ -19,7 +19,7 @@ from unittest import mock
 import sparqlkb.semantics
 from sparqlkb.chase import chase, default_bound, entailed_abox
 from sparqlkb.errors import QueryShapeError
-from sparqlkb.graph import Graph
+from sparqlkb.graph import Graph, evaluate
 from sparqlkb.kb import (
     ConceptDisjointness,
     ConceptInclusion,
@@ -210,7 +210,8 @@ SEMANTICS = {
 def materialized(fn, q, kb):
     """fn(q, kb), for one of the engine's semantics, with every chase it
     reads evaluated over its materialized index,
-    `evaluate(q, chase(kb, b).graph.index)`, rather than walked on demand.
+    `evaluate(q, chase(kb, b).graph.index)`, rather than walked on demand,
+    and by `evaluate` itself: it reads no rows that the engine memoized.
     Also returns the bounds of the chases it read."""
     bounds = []
 
@@ -218,7 +219,8 @@ def materialized(fn, q, kb):
         bounds.append(bound)
         return chase(kb, bound).graph.index
 
-    with mock.patch.object(sparqlkb.semantics, "chase", materialized_chase):
+    with mock.patch.object(sparqlkb.semantics, "chase", materialized_chase), \
+            mock.patch.object(sparqlkb.semantics, "evaluate_once", evaluate):
         return fn(q, kb), bounds
 
 

@@ -1,5 +1,6 @@
 """The six semantics on the worked examples and their structural relations."""
 
+import io
 from itertools import islice
 from unittest import mock
 
@@ -8,11 +9,12 @@ import pytest
 import reference
 import sparqlkb.query
 import sparqlkb.semantics
-from conftest import TEACHING_QUERY, load_kb, load_query, m, ms, teaching_kb_text
-from sparqlkb.chase import chase, default_bound
+from conftest import FIXTURES, TEACHING_QUERY, load_kb, load_query, m, ms, teaching_kb_text
+from sparqlkb.chase import ChaseGraph, chase, default_bound
+from sparqlkb.cli import EXIT_OK, EXIT_USAGE, main
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.graph import evaluate, sparql_ans_branch
-from sparqlkb.harness import SizeParams, generate_instances
+from sparqlkb.harness import SizeParams, _try_semantics, check_requirement, generate_instances
 from sparqlkb.kb import Var, active_domain, parse_kb
 from sparqlkb.query import (
     JoinQ,
@@ -32,6 +34,7 @@ from sparqlkb.semantics import (
     can_ans,
     cert_ans_ucq,
     er_ans,
+    evaluate_once,
     is_ucq_shape,
     m_can_ans,
     m_can_ans_sjo,
@@ -279,6 +282,77 @@ class TestSlotRowEngine:
                     lazy, full = evaluate(x, cg), evaluate(x, cg.graph.index)
                     assert (lazy.vars, lazy.rows) == (full.vars, full.rows), (
                         bound, serialize_query(x))
+
+    def test_the_reference_run_reads_nothing_memoized(self, monkeypatch):
+        """`reference.materialized` makes its own evaluations, over the
+        materialized chase, after the engine has memoized its rows."""
+        functions = dict(SEMANTICS, **{"mcan-sjo": m_can_ans_sjo})
+        sources = []
+
+        def counted(q, source):
+            sources.append(source)
+            return evaluate(q, source)
+
+        monkeypatch.setattr(reference, "evaluate", counted)
+        checked = 0
+        for kb, q in islice(generate_instances(3, SizeParams()), 40):
+            for name in self.CHASE_READERS:
+                try:
+                    answers = functions[name](q, kb)
+                except QueryShapeError:
+                    continue
+                before = evaluate_once.cache_info()
+                sources.clear()
+                assert reference.materialized(functions[name], q, kb)[0] == answers
+                assert evaluate_once.cache_info() == before, name
+                assert sources and all(isinstance(s, dict) for s in sources), name
+                checked += 1
+        assert checked >= 100
+
+
+class TestSharedEvaluation:
+    """The library functions of the semantics that read the chase share one
+    evaluation of each query over each chase, through `evaluate_once`;
+    `eval` never reaches that memo."""
+
+    def test_a_check_run_evaluates_each_query_once_per_chase(self, monkeypatch):
+        calls = []
+
+        def counted(q, source):
+            calls.append((q, source))
+            return evaluate(q, source)
+
+        monkeypatch.setattr(sparqlkb.semantics, "evaluate", counted)
+        covered = set()
+        for kb, q in islice(generate_instances(5, SizeParams()), 80):
+            evaluate_once.cache_clear()
+            _try_semantics.cache_clear()
+            calls.clear()
+            for name in SEMANTICS:
+                for req_id in range(1, 6):
+                    check_requirement(req_id, name, q, kb)
+            keys = [(x, id(source)) for x, source in calls]
+            assert len(keys) == len(set(keys)), serialize_query(q)
+            over_chase = {x for x, source in calls if isinstance(source, ChaseGraph)}
+            operands = {q.left, q.right} if isinstance(q, (OptQ, UnionQ)) else set()
+            covered.add(type(q))
+            if operands & over_chase:
+                covered.add("operand")
+            if over_chase - operands - {q}:
+                covered.add("branch")
+        assert {OptQ, UnionQ, "operand", "branch"} <= covered
+
+    @pytest.mark.parametrize("name", sorted(SEMANTICS))
+    def test_eval_leaves_the_memo_empty(self, name):
+        evaluate_once.cache_clear()
+        codes = [
+            main(["eval", "--kb", str(FIXTURES / "ex7.kb"), "--query", str(FIXTURES / query),
+                  "--semantics", name], out=io.StringIO())
+            for query in ("ex1.sq", "ex7.sq")
+        ]
+        # certain-ucq rejects the OPT query ex7.sq
+        assert codes == [EXIT_OK, EXIT_USAGE if name == "certain-ucq" else EXIT_OK]
+        assert evaluate_once.cache_info().currsize == 0
 
 
 def _chased_instances():
