@@ -50,13 +50,14 @@ def _load_query(path: str) -> Query:
 
 
 def _print_rows(rows: Rows, fmt: str, out) -> None:
-    """Print answer rows in the order of their bound (variable, kind, name)
-    triples, as Term orders them: an anonymous `_:` name before any
-    individual."""
-    bound = [
+    """Print answer rows in the order of their bound (variable, name) pairs.
+    That is the order of their SolutionMappings as long as no row holds a
+    `_:` name, which Term puts before every individual; no semantics returns
+    one (tests/test_semantics.py::TestWitnessRows::
+    test_no_semantics_returns_a_witness_name)."""
+    bound = sorted(
         [(v, name) for v, name in zip(rows.vars, row) if name is not None] for row in rows.rows
-    ]
-    bound.sort(key=lambda pairs: [(v, not name.startswith("_:"), name) for v, name in pairs])
+    )
     if fmt == "json":
         payload = [{f"?{v}": name for v, name in pairs} for pairs in bound]
         print(json.dumps(payload, sort_keys=True), file=out)

@@ -232,15 +232,6 @@ def project(rows: Rows, names: Iterable[str]) -> Rows:
     return Rows(out, set(map(pick, rows.rows)))
 
 
-def unbind(rows: Rows, keep: Iterable[str]) -> Rows:
-    """Every row with the slots of variables outside `keep` unbound; the
-    variable list stays."""
-    kept = set(keep)
-    n = len(rows.vars)
-    pick = _picker(tuple(i if v in kept else n for i, v in enumerate(rows.vars)))
-    return Rows(rows.vars, {pick(row + (None,)) for row in rows.rows})
-
-
 # What a query reads: an Index, or a chase read on demand, whose `rows(p)`
 # are the atoms of p, `match(p, pos, values)` the atoms of p whose argument
 # at pos is one of values, and `carries(p)` whether witnesses carry p.

@@ -34,11 +34,12 @@ from .query import (
     UnionQ,
     VarSetFamily,
     is_admissible,
+    is_ucq_shape,
     query_vars,
     serialize_query,
     union_operands,
 )
-from .semantics import SEMANTICS, is_ucq_shape
+from .semantics import SEMANTICS
 
 
 @dataclass(frozen=True)

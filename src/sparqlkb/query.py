@@ -125,23 +125,41 @@ def union_operands(q: Query) -> list[Query]:
     return [q]
 
 
-def is_jo(q: Query) -> bool:
-    """True iff q uses only triple patterns, JOIN and OPT."""
-    if isinstance(q, TriplePattern):
-        return True
-    if isinstance(q, (JoinQ, OptQ)):
-        return is_jo(q.left) and is_jo(q.right)
-    return False
-
-
-def is_union_free(q: Query) -> bool:
+def _uses_only(q: Query, types: frozenset[type]) -> bool:
+    """True iff every node of q is of one of `types`, stopping at the first
+    that is not."""
+    if type(q) not in types:
+        return False
     if isinstance(q, TriplePattern):
         return True
     if isinstance(q, Select):
-        return is_union_free(q.body)
-    if isinstance(q, UnionQ):
-        return False
-    return is_union_free(q.left) and is_union_free(q.right)
+        return _uses_only(q.body, types)
+    return _uses_only(q.left, types) and _uses_only(q.right, types)
+
+
+_CQ = frozenset({TriplePattern, JoinQ})
+_JO = _CQ | {OptQ}
+_UNION_FREE = _JO | {Select}
+
+
+def is_jo(q: Query) -> bool:
+    """True iff q uses only triple patterns, JOIN and OPT."""
+    return _uses_only(q, _JO)
+
+
+def is_union_free(q: Query) -> bool:
+    return _uses_only(q, _UNION_FREE)
+
+
+def is_ucq_shape(q: Query) -> bool:
+    """UNION of CQs (SELECT over a JOIN tree of triple patterns) sharing
+    the same distinguished variables."""
+    seen_vars = set()
+    for cq in union_operands(q):
+        if not _uses_only(cq.body if isinstance(cq, Select) else cq, _CQ):
+            return False
+        seen_vars.add(query_vars(cq))
+    return len(seen_vars) == 1
 
 
 @lru_cache(maxsize=256)

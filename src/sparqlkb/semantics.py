@@ -30,8 +30,8 @@ from typing import Callable, Iterable
 from .chase import ChaseGraph, chase, default_bound, entailed_abox
 from .errors import QueryShapeError
 from .kb import KnowledgeBase, Var
-# sparql_ans, sparql_ans_branch, join, diff, project and adm are unused
-# here; the benchmark tracer looks them up in this module.
+# sparql_ans, sparql_ans_branch, join, diff and adm are unused here; the
+# benchmark tracer looks them up in this module.
 from .graph import (
     Rows,
     bound_groups,
@@ -43,22 +43,17 @@ from .graph import (
     sparql_ans,
     sparql_ans_branch,
     to_mappings,
-    unbind,
 )
 from .mappings import MappingSet
 from .query import (
-    JoinQ,
     Query,
-    Select,
-    TriplePattern,
     VarSet,
     VarSetFamily,
     adm,
     branch,
+    is_ucq_shape,
     is_union_free,
     max_admissible_subsets,
-    query_vars,
-    union_operands,
 )
 
 
@@ -87,7 +82,8 @@ def _restrict_domains(rows: Rows, tops: Callable[[VarSet], Iterable[VarSet]]) ->
     out: set[tuple] = set()
     for bound, group in bound_groups(rows.rows, tuple(range(len(rows.vars)))).items():
         for x in tops(frozenset(Var(rows.vars[i]) for i in bound)):
-            out.update(unbind(Rows(rows.vars, group), (v.name for v in x)).rows)
+            kept = project(Rows(rows.vars, group), (v.name for v in x))
+            out.update(pad(kept, rows.vars).rows)
     return Rows(rows.vars, out)
 
 
@@ -103,23 +99,6 @@ def otimes(rows: Rows, family: VarSetFamily) -> Rows:
 def plain_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
     """SPARQL answers over the ABox viewed as a plain graph; TBox ignored."""
     return evaluate(q, kb.encoded.facts)
-
-
-def _cq_join_tree(q: Query) -> bool:
-    if isinstance(q, TriplePattern):
-        return True
-    return isinstance(q, JoinQ) and _cq_join_tree(q.left) and _cq_join_tree(q.right)
-
-
-def is_ucq_shape(q: Query) -> bool:
-    """UNION of CQs (SELECT over a JOIN tree of triple patterns) sharing
-    the same distinguished variables."""
-    seen_vars = set()
-    for cq in union_operands(q):
-        if not _cq_join_tree(cq.body if isinstance(cq, Select) else cq):
-            return False
-        seen_vars.add(query_vars(cq))
-    return len(seen_vars) == 1
 
 
 def cert_ucq_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:

@@ -101,19 +101,18 @@ class TestHandCases:
         assert printed["plain"] == "?x=I10\n?x=I100\n?x=I9\n"
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_anonymous_names_sort_before_individuals(self, fmt):
-        # by text, "Z" < "_:a|r" < "a"; by kind, every _: name comes first
+    def test_rows_sort_by_their_bound_variable_name_pairs(self, fmt):
+        # a row's pairs in variable order; "Z" < "a" by text, yet ?x=a comes
+        # before ?y=Z, and a row before every row it is a prefix of
         rows = Rows(
             ("x", "y"),
-            {("_:a|r", "b"), ("a", None), ("Z", "_:Z|s"), (None, "_:c"), (None, "Z")},
+            {("a", "b"), ("a", None), ("Z", "a"), (None, "Z"), (None, "a"), ("Z", None)},
         )
         out = io.StringIO()
         _print_rows(rows, fmt, out)
         assert out.getvalue() == oracle(to_mappings(rows), fmt)
         if fmt == "tsv":
-            assert out.getvalue() == (
-                "?x=_:a|r\t?y=b\n?x=Z\t?y=_:Z|s\n?x=a\n?y=_:c\n?y=Z\n"
-            )
+            assert out.getvalue() == "?x=Z\n?x=Z\t?y=a\n?x=a\n?x=a\t?y=b\n?y=Z\n?y=a\n"
 
 
 def test_sort_mappings_is_deterministic():

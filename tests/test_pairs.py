@@ -1,11 +1,16 @@
 """tools/pairs.py's summary of alternating benchmark pairs, on canned
-result lines: no benchmark runs here."""
+result lines, and its refusal of checkouts whose paths differ in length:
+no benchmark runs here."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-PAIRS = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PAIRS = ROOT / "tools" / "pairs.py"
+METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
 def _pairs():
@@ -55,3 +60,41 @@ def test_summary_counts_failures_per_side():
     assert lines[0].endswith("change won 1 of 1")
     assert lines[-1] == "failed: base 0 of 100, change 3 of 100"
 
+
+
+def _args(base: Path, change: Path) -> list[str]:
+    return ["--base", str(base), "--change", str(change), "--workload", "property-corpus",
+            "--first-seed", "1", "--pairs", "2"]
+
+
+def test_checkouts_whose_paths_differ_in_length_are_refused(tmp_path, monkeypatch):
+    pairs = _pairs()
+    base, change = tmp_path / "a", tmp_path / "bb"
+    base.mkdir()
+    change.mkdir()
+    ran = []
+    monkeypatch.setattr(pairs, "run_once", lambda *args: ran.append(args))
+    with pytest.raises(SystemExit, match="differ in length") as refused:
+        pairs.main(_args(base, change))
+    assert refused.value.code != 0 and ran == []
+
+
+def test_checkouts_whose_paths_have_equal_length_run(tmp_path, monkeypatch, capsys):
+    pairs = _pairs()
+    base, change = tmp_path / "a", tmp_path / "b"
+    base.mkdir()
+    change.mkdir()
+    ran = []
+
+    def run_once(checkout, workload, seed, seconds):
+        ran.append((checkout.name, seed))
+        value = 2.0 if checkout == change else 1.0
+        metrics = {name: {"value": value} for name in METRICS}
+        return {"attempted": 100, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main(_args(base, change)) == 0
+    # the base runs first in even pairs, the change in odd ones
+    assert ran == [("a", 1), ("b", 1), ("b", 2), ("a", 2)]
+    assert "throughput_rps (higher is better): base 1 [1-1], change 2 [2-2], change won 2 of 2" in (
+        capsys.readouterr().out.splitlines())

@@ -100,6 +100,17 @@ class TestQueryVars:
         assert not is_jo(load_query("ex1.sq"))
         assert not is_union_free(UnionQ(OPT_JOIN, OPT_JOIN))
 
+    def test_a_select_inside_a_join_opt_tree_is_not_jo(self):
+        q = parse_query("OPT(A(?x), JOIN(r(?x,?y), SELECT{y}(s(?y,?z))))")
+        assert not is_jo(q) and is_union_free(q)
+
+    @pytest.mark.parametrize("text", [
+        "OPT(A(?x), UNION(r(?x,?y), s(?x,?y)))",
+        "JOIN(A(?x), SELECT{x}(UNION(A(?x), B(?x))))",
+    ])
+    def test_a_nested_union_is_not_union_free(self, text):
+        assert not is_union_free(parse_query(text))
+
 
 class TestAdm:
     def test_triple_pattern_binds_its_vars(self):
@@ -277,7 +288,7 @@ def test_every_cache_is_bounded():
         caches.extend(
             (info.name, name, obj.cache_parameters()["maxsize"])
             for name, obj in vars(module).items()
-            if hasattr(obj, "cache_parameters") and obj.__module__ == info.name
+            if hasattr(obj, "cache_parameters")
         )
     assert caches
     assert [c for c in caches if c[2] is None] == []

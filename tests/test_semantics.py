@@ -65,6 +65,13 @@ class TestUcqShape:
     def test_opt_is_not_a_cq(self):
         assert not is_ucq_shape(load_query("ex2.sq"))
 
+    def test_a_select_inside_the_join_tree_is_not_a_cq(self):
+        assert not is_ucq_shape(parse_query("SELECT{x}(JOIN(A(?x), SELECT{x}(r(?x,?y))))"))
+
+    def test_a_join_tree_of_three_patterns_is_a_cq(self):
+        assert is_ucq_shape(parse_query("SELECT{x}(JOIN(JOIN(A(?x), r(?x,?y)), B(?y)))"))
+        assert is_ucq_shape(parse_query("JOIN(A(?x), JOIN(r(?x,?y), B(?y)))"))
+
 
 class TestWorkedExamples:
     """Exact answer sets for the running driver/teacher scenarios."""

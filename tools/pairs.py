@@ -1,7 +1,8 @@
 """Alternating benchmark pairs of two checkouts, summarized per metric.
 
-Run from anywhere, with two checkouts of the repository (their paths should
-have equal length: perfbench's peak_rss_mb moves with it):
+Run from anywhere, with two checkouts of the repository whose paths have
+equal length (perfbench's peak_rss_mb moves with it, so the script refuses
+checkouts whose resolved paths differ in length before it runs anything):
 
     python3 tools/pairs.py --base ../a --change ../b --workload property-corpus \\
         --first-seed 41 --pairs 10 --seconds 8
@@ -78,6 +79,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, default=8)
     args = parser.parse_args(argv)
+    base_path, change_path = str(args.base.resolve()), str(args.change.resolve())
+    if len(base_path) != len(change_path):
+        raise SystemExit(
+            f"checkout paths differ in length ({base_path!r}: {len(base_path)}, "
+            f"{change_path!r}: {len(change_path)}); peak_rss_mb moves with it"
+        )
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     pairs = []
