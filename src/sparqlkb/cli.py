@@ -54,15 +54,19 @@ def _print_rows(rows: Rows, fmt: str, out) -> None:
     That is the order of their SolutionMappings as long as no row holds a
     `_:` name, which Term puts before every individual; no semantics returns
     one (tests/test_semantics.py::TestWitnessRows::
-    test_no_semantics_returns_a_witness_name)."""
-    bound = sorted(
-        [(v, name) for v, name in zip(rows.vars, row) if name is not None] for row in rows.rows
+    test_no_semantics_returns_a_witness_name).  A row's key is its tsv
+    line with "\\x01" for "=", which, like the tab, sorts before every name
+    character, so keys sort as the pairs do ("?x=" sorts after "?x1=")."""
+    heads = [f"?{v}\x01" for v in rows.vars]
+    keys = sorted(
+        "\t".join([head + name for head, name in zip(heads, row) if name is not None])
+        for row in rows.rows
     )
     if fmt == "json":
-        payload = [{f"?{v}": name for v, name in pairs} for pairs in bound]
+        payload = [dict(pair.split("\x01") for pair in key.split("\t") if pair) for key in keys]
         print(json.dumps(payload, sort_keys=True), file=out)
         return
-    out.write("".join("\t".join(f"?{v}={name}" for v, name in pairs) + "\n" for pairs in bound))
+    out.write("".join(key + "\n" for key in keys).replace("\x01", "="))
 
 
 def _cmd_eval(args, out) -> int:

@@ -1,6 +1,7 @@
 """Knowledge base model: terms, atoms, TBox axioms, parsing and serialization.
 
-The ASCII surface syntax (UTF-8, ``#`` comments, ``.``-terminated statements):
+The ASCII surface syntax (UTF-8, ``#`` comments to the end of the line,
+whitespace exactly space, tab, CR and LF, ``.``-terminated statements):
 
     file     := "TBOX:" axiom* "ABOX:" fact*
     axiom    := basic "[=" ("not")? basic "." | roleExpr "[=" roleExpr "."
@@ -12,11 +13,16 @@ A bare ``X [= Y .`` is ambiguous between a concept and a role inclusion; it is
 read as a role inclusion iff at least one side is used as a role elsewhere in
 the file (in an ``exists``/``inv``, a binary fact, or another role inclusion),
 wherever in the file that use is.
+
+`parse_kb` tokenizes only the text before the ABox and reads the ABox by one
+regex scan.  Text that the scan does not read whole, and every error, take
+the checking path, which tokenizes the whole text and locates the error.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -373,44 +379,60 @@ def _read_fact(toks: _Tokens) -> tuple[str, tuple[str, ...]]:
     return name, tuple(args)
 
 
-def _parse_facts(toks: _Tokens) -> tuple[dict[str, set], dict[str, set]]:
-    """The ABox statements by name: the unary and the binary facts'
-    argument tuples per predicate."""
-    tokens, unary, binary = toks.tokens, {}, {}
-    i, n = toks.index, len(toks.tokens)
-    while i < n:
-        # The two shapes of a well-formed fact are read off the token list;
-        # anything else goes through the checking path, which raises.  A
-        # predicate is a name (a letter first), an individual a name or
-        # number (a letter or digit first); neither can be reserved here,
-        # since no ':' follows.
-        p = tokens[i]
-        if p[0].isalpha() and i + 4 < n and tokens[i + 1] == "(":
-            a = tokens[i + 2]
-            if a[0].isalnum():
-                if tokens[i + 3] == ")" and tokens[i + 4] == ".":
-                    unary.setdefault(p, set()).add((a,))
-                    i += 5
-                    continue
-                b = tokens[i + 4]
-                if (
-                    tokens[i + 3] == "," and b[0].isalnum() and i + 6 < n
-                    and tokens[i + 5] == ")" and tokens[i + 6] == "."
-                ):
-                    binary.setdefault(p, set()).add((a, b))
-                    i += 7
-                    continue
-        toks.index = i
-        name, args = _read_fact(toks)
-        (unary if len(args) == 1 else binary).setdefault(name, set()).add(args)
-        i = toks.index
-    toks.index = i
+_Facts = tuple[dict[str, set], dict[str, set]]  # unary, binary: predicate -> argument tuples
+
+
+# One scan reads the facts after the ABOX token as _Tokens would: a name, a
+# name or number, whitespace exactly [ \t\r\n], and no reserved name, since
+# no ':' follows one.  A comment never takes its newline, so deleting the
+# comments leaves the tokens as they were.  At text that is not a fact the
+# last alternative takes the rest: findall skips none.
+_WS = r"[ \t\r\n]*"
+_IND = r"([A-Za-z0-9][A-Za-z0-9_]*)"
+_FACT_RE = re.compile(
+    rf"{_WS}([A-Za-z][A-Za-z0-9_]*){_WS}\({_WS}{_IND}{_WS}(?:,{_WS}{_IND}{_WS})?\){_WS}\.|([\s\S]+)"
+)
+_COMMENT_RE = re.compile(r"\#[^\n]*")
+# The first ABOX token: a whole name with no '#' before it on its line.
+_ABOX_RE = re.compile(r"^[^#\n]*?\bABOX\b", re.M | re.A)
+
+
+def _scan_facts(text: str) -> _Facts | None:
+    """The facts of the text after the ABOX token; None unless it is ':'
+    and well-formed facts."""
+    text = _COMMENT_RE.sub("", text) if "#" in text else text
+    body = text.strip(" \t\r\n")
+    if body[:1] != ":":
+        return None
+    facts = _FACT_RE.findall(body, 1)
+    if facts and facts[-1][3]:
+        return None
+    unary, binary = defaultdict(set), defaultdict(set)
+    for p, a, b, _ in facts:
+        if b:
+            binary[p].add((a, b))
+        else:
+            unary[p].add((a,))
     return unary, binary
 
 
 def parse_kb(text: str) -> KnowledgeBase:
-    """Parse the KB grammar; raises ParseError with line/column on bad input."""
-    toks = _Tokens(text, _TOKEN_RE)
+    """Parse the KB grammar; raises ParseError with line/column on bad input.
+    Text that the ABox scan does not read whole, or that holds an error,
+    takes the checking path (see the module docstring)."""
+    split = _ABOX_RE.search(text)
+    facts = split and _scan_facts(text[split.end():])
+    if facts:
+        try:
+            return _parse(_Tokens(text[: split.end()], _TOKEN_RE), facts)
+        except ParseError:
+            pass
+    return _parse(_Tokens(text, _TOKEN_RE), None)
+
+
+def _parse(toks: _Tokens, facts: _Facts | None) -> KnowledgeBase:
+    """The KB of toks, with the ABox `facts` (toks then end at ABOX) or,
+    if None, the ABox read from toks."""
     toks.next("TBOX")
     toks.next(":")
 
@@ -428,9 +450,13 @@ def parse_kb(text: str) -> KnowledgeBase:
         raw_axioms.append((lhs, negated, rhs, at))
         toks.next(".")
     toks.next("ABOX")
-    toks.next(":")
+    if facts is None:
+        toks.next(":")
     start = toks.index
-    unary, binary = _parse_facts(toks)
+    unary, binary = facts or ({}, {})
+    while toks.peek() is not None:  # the checking path
+        name, args = _read_fact(toks)
+        (unary if len(args) == 1 else binary).setdefault(name, set()).add(args)
 
     # Vocabulary inference for the ambiguous bare-name inclusions, decided
     # before any axiom is built, so that the order of the axioms does not
@@ -491,7 +517,8 @@ def parse_kb(text: str) -> KnowledgeBase:
                 axioms.append(ConceptInclusion(sides[0], sides[1]))
 
     # A name is used with one arity, as a role or as a concept; the first
-    # fact that breaks this is reported.
+    # fact that breaks this is reported.  Scanned facts have no tokens, so
+    # there _read_fact raises at once and parse_kb takes the checking path.
     if unary.keys() & roles or binary.keys() & concepts:
         toks.index = start
         while True:

@@ -10,7 +10,10 @@ printer as it ran before it printed slot rows: over SolutionMappings, in
 
 `closure_tbox` saturates a TBox into pair closures by the naive fixpoint, and
 `closure_type` reads an element's type off them, for comparison with the
-engine's reachability lookups."""
+engine's reachability lookups.
+
+`token_parse_kb` is `parse_kb` as it ran before it scanned the ABox text:
+every statement through `_Tokens`, with the ABox read off the token list."""
 
 import json
 from typing import NamedTuple
@@ -21,11 +24,19 @@ from sparqlkb.chase import chase, default_bound, entailed_abox
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.graph import Graph, evaluate
 from sparqlkb.kb import (
+    _TOKEN_RE,
+    BasicConcept,
     ConceptDisjointness,
     ConceptInclusion,
+    KnowledgeBase,
     RoleExpr,
     RoleInclusion,
+    TBoxAxiom,
     Var,
+    _encoded,
+    _parse_side,
+    _read_fact,
+    _Tokens,
     active_domain,
     exists,
 )
@@ -361,3 +372,134 @@ def closure_type(satisfied, ref):
     atomic = tuple(sorted(b.name for b in entailed if b.kind == "atomic"))
     clash = any((b1, b2) in ref.disjointness_closure for b1 in entailed for b2 in entailed)
     return atomic, fire, clash
+
+
+def _parse_facts(toks: _Tokens) -> tuple[dict[str, set], dict[str, set]]:
+    """The ABox statements by name: the unary and the binary facts'
+    argument tuples per predicate."""
+    tokens, unary, binary = toks.tokens, {}, {}
+    i, n = toks.index, len(toks.tokens)
+    while i < n:
+        # The two shapes of a well-formed fact are read off the token list;
+        # anything else goes through the checking path, which raises.  A
+        # predicate is a name (a letter first), an individual a name or
+        # number (a letter or digit first); neither can be reserved here,
+        # since no ':' follows.
+        p = tokens[i]
+        if p[0].isalpha() and i + 4 < n and tokens[i + 1] == "(":
+            a = tokens[i + 2]
+            if a[0].isalnum():
+                if tokens[i + 3] == ")" and tokens[i + 4] == ".":
+                    unary.setdefault(p, set()).add((a,))
+                    i += 5
+                    continue
+                b = tokens[i + 4]
+                if (
+                    tokens[i + 3] == "," and b[0].isalnum() and i + 6 < n
+                    and tokens[i + 5] == ")" and tokens[i + 6] == "."
+                ):
+                    binary.setdefault(p, set()).add((a, b))
+                    i += 7
+                    continue
+        toks.index = i
+        name, args = _read_fact(toks)
+        (unary if len(args) == 1 else binary).setdefault(name, set()).add(args)
+        i = toks.index
+    toks.index = i
+    return unary, binary
+
+
+def token_parse_kb(text: str) -> KnowledgeBase:
+    """Parse the KB grammar; raises ParseError with line/column on bad input."""
+    toks = _Tokens(text, _TOKEN_RE)
+    toks.next("TBOX")
+    toks.next(":")
+
+    # First pass: read axioms with bare names left unresolved.
+    raw_axioms: list[tuple] = []
+    while not (toks.at("ABOX") or toks.peek() is None):
+        lhs = _parse_side(toks)
+        toks.next("[=")
+        at = toks.index - 1
+        negated = False
+        if toks.at("not"):
+            toks.next()
+            negated = True
+        rhs = _parse_side(toks)
+        raw_axioms.append((lhs, negated, rhs, at))
+        toks.next(".")
+    toks.next("ABOX")
+    toks.next(":")
+    start = toks.index
+    unary, binary = _parse_facts(toks)
+
+    # Vocabulary inference for the ambiguous bare-name inclusions, decided
+    # before any axiom is built, so that the order of the axioms does not
+    # matter.  Role evidence (binary facts, names under exists/inv) spreads to
+    # a fixpoint across the bare inclusions, those with no `not` and no basic
+    # concept side.  A name with concept evidence takes none: the inclusion
+    # that links it to a role reports the clash.
+    roles: set[str] = set(binary)
+    concepts: set[str] = set(unary)
+    linked: dict[str, list[str]] = {}
+    for lhs, negated, rhs, _ in raw_axioms:
+        roles.update(s.name for s in (lhs, rhs) if not isinstance(s, str))
+        if negated or isinstance(lhs, BasicConcept) or isinstance(rhs, BasicConcept):
+            concepts.update(s for s in (lhs, rhs) if isinstance(s, str))
+        else:
+            a, b = (s if isinstance(s, str) else s.name for s in (lhs, rhs))
+            linked.setdefault(a, []).append(b)
+            linked.setdefault(b, []).append(a)
+    stack = list(roles)
+    while stack:
+        for name in linked.pop(stack.pop(), ()):
+            if name not in roles and name not in concepts:
+                roles.add(name)
+                stack.append(name)
+
+    axioms: list[TBoxAxiom] = []
+    for lhs, negated, rhs, at in raw_axioms:
+        role_axiom = any(
+            isinstance(s, RoleExpr) or (isinstance(s, str) and s in roles)
+            for s in (lhs, rhs)
+        )
+        if role_axiom and not negated:
+            sides = []
+            for s in (lhs, rhs):
+                if isinstance(s, str):
+                    if s in concepts:
+                        toks.fail(f"{s!r} used both as concept and role", at)
+                    sides.append(RoleExpr(s))
+                elif isinstance(s, RoleExpr):
+                    sides.append(s)
+                else:
+                    toks.fail("role inclusion cannot mix concepts and roles", at)
+            axioms.append(RoleInclusion(sides[0], sides[1]))
+        else:
+            sides = []
+            for s in (lhs, rhs):
+                if isinstance(s, str):
+                    sides.append(BasicConcept("atomic", s))
+                elif isinstance(s, BasicConcept):
+                    sides.append(s)
+                else:
+                    toks.fail("disjointness requires basic concepts on both sides", at)
+            if negated:
+                if sides[0] == sides[1]:
+                    toks.fail("disjointness requires distinct concepts", at)
+                axioms.append(ConceptDisjointness(sides[0], sides[1]))
+            else:
+                axioms.append(ConceptInclusion(sides[0], sides[1]))
+
+    # A name is used with one arity, as a role or as a concept; the first
+    # fact that breaks this is reported.
+    if unary.keys() & roles or binary.keys() & concepts:
+        toks.index = start
+        while True:
+            at = toks.index
+            name, args = _read_fact(toks)
+            if name in roles and len(args) == 1:
+                toks.fail(f"role {name!r} used with 1 argument", at)
+            if name in concepts and len(args) == 2:
+                toks.fail(f"concept {name!r} used with 2 arguments", at)
+    return KnowledgeBase.of_encoded(frozenset(axioms), _encoded(unary | binary))

@@ -3,6 +3,7 @@ SolutionMapping printer it replaced, kept in reference.py, defines the
 bytes it must print."""
 
 import io
+import random
 from itertools import islice
 
 import pytest
@@ -113,6 +114,33 @@ class TestHandCases:
         assert out.getvalue() == oracle(to_mappings(rows), fmt)
         if fmt == "tsv":
             assert out.getvalue() == "?x=Z\n?x=Z\t?y=a\n?x=a\n?x=a\t?y=b\n?y=Z\n?y=a\n"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_variables_and_names_that_are_prefixes_of_one_another(self, fmt):
+        # "=" sorts after the digits, so ?x=a comes before ?x1=a in
+        # (variable, name) order but not in the order of the printed lines
+        names = [None, "a", "a1", "a_", "a_1", "A", "0", "10", "9_"]
+        rng = random.Random(26)
+        rows = Rows(
+            ("x", "x1", "x_", "xa"),
+            {tuple(rng.choice(names) for _ in range(4)) for _ in range(400)},
+        )
+        out = io.StringIO()
+        _print_rows(rows, fmt, out)
+        assert out.getvalue() == oracle(to_mappings(rows), fmt)
+        if fmt == "tsv":
+            lines = out.getvalue().splitlines()
+            assert sorted(lines) != lines
+
+    def test_eval_prints_prefix_variables_as_the_oracle(self, tmp_path):
+        printed = assert_prints_as_the_oracle(
+            tmp_path,
+            "TBOX:\nABOX:\nA(a) .\nA(a1) .\nr(a, a_) .\nB(b) .\ns(a_, a1_0) .\n",
+            "UNION(OPT(OPT(A(?x), r(?x, ?x_)), s(?x_, ?xa)), B(?x1))",
+        )
+        # the row of a1 leaves ?x_ unbound, so s(?x_, ?xa) extends it too
+        assert printed["plain"] == (
+            "?x=a\t?x_=a_\t?xa=a1_0\n?x=a1\t?x_=a_\t?xa=a1_0\n?x1=b\n")
 
 
 def test_sort_mappings_is_deterministic():

@@ -1,0 +1,53 @@
+"""tools/stages.py's per-stage summary, on canned times, and one staged
+request of each eval workload, which prints what `sparqlkb eval` prints."""
+
+import importlib.util
+import random
+from pathlib import Path
+
+import pytest
+
+import sparqlkb.cli
+
+STAGES_PATH = Path(__file__).resolve().parents[1] / "tools" / "stages.py"
+
+
+def _stages():
+    spec = importlib.util.spec_from_file_location("tools_stages", STAGES_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_summary_reports_each_stage_mean_and_share():
+    stages = _stages()
+    # seconds per stage, two requests: the means are 1, 2, 3, 4, 5, 6, 4 ms
+    times = [[0.001, 0.001, 0.002, 0.004, 0.005, 0.006, 0.003],
+             [0.001, 0.003, 0.004, 0.004, 0.005, 0.006, 0.005]]
+    assert stages.summarize("teaching-opt", times) == [
+        "teaching-opt: 25.000 ms per request (mean of 2)",
+        "  argparse       1.000 ms   4.0%",
+        "  file read      2.000 ms   8.0%",
+        "  parse_kb       3.000 ms  12.0%",
+        "  parse_query    4.000 ms  16.0%",
+        "  _model         5.000 ms  20.0%",
+        "  semantics      6.000 ms  24.0%",
+        "  print          4.000 ms  16.0%",
+    ]
+
+
+@pytest.mark.parametrize("name", ["teaching-opt", "branching-chase", "nested-opt"])
+def test_a_staged_request_prints_what_eval_prints(name, tmp_path):
+    stages = _stages()
+    workload = stages.load_workloads()[name](tmp_path)
+    expected = workload.prepare(random.Random(1))
+    times, printed = stages.run_staged(sparqlkb, workload)
+    assert len(times) == len(stages.STAGES) and min(times) >= 0
+    assert workload.run(sparqlkb) == (0, printed)
+    assert workload.check(expected, (0, printed))
+
+
+def test_measure_times_each_request_after_the_warm_up():
+    stages = _stages()
+    times = stages.measure(sparqlkb, stages.load_workloads()["nested-opt"], requests=2, seed=1)
+    assert len(times) == 2 and all(len(row) == len(stages.STAGES) for row in times)
