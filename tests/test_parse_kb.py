@@ -138,7 +138,8 @@ def test_the_scan_reads_the_benchmark_shapes_and_generated_kbs(monkeypatch):
         ("TBOX:\nABOX:\nA\v(a) .\n", "3:2: unexpected character '\\x0b'"),
         ("TBOX:\nABOX:\nA(a)\f.\n", "3:5: unexpected character '\\x0c'"),
         ("TBOX:\nABOX:\vA(a) .\n", "2:6: unexpected character '\\x0b'"),
-        ("TBOX:\nABOX:\nA(a) . # \v in a comment\nB(b)\xa0.\n", "4:5: unexpected character '\\xa0'"),
+        ("TBOX:\nABOX:\nA(a) . # \v is a comment\nB(b)\xa0.\n",
+         "4:5: unexpected character '\\xa0'"),
     ],
 )
 def test_other_whitespace_in_the_abox_is_an_unexpected_character(text, error):

@@ -34,7 +34,8 @@ EVAL_WORKLOADS = ("teaching-opt", "branching-chase", "nested-opt")
 
 def load_workloads() -> dict:
     """perfbench's workload classes by name."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.WORKLOADS
@@ -109,7 +110,8 @@ def main(argv=None) -> int:
     sparqlkb = import_sparqlkb()
     workloads = load_workloads()
     for name in EVAL_WORKLOADS:
-        print("\n".join(summarize(name, measure(sparqlkb, workloads[name], args.requests, args.seed))))
+        times = measure(sparqlkb, workloads[name], args.requests, args.seed)
+        print("\n".join(summarize(name, times)))
     return 0
 
 
