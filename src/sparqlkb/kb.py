@@ -17,6 +17,12 @@ wherever in the file that use is.
 `parse_kb` tokenizes only the text before the ABox and reads the ABox by one
 regex scan.  Text that the scan does not read whole, and every error, take
 the checking path, which tokenizes the whole text and locates the error.
+
+The TBox is built once per text: `_tbox`, an 8-entry LRU cache, is keyed by
+the text through the ABOX token and the ABox's unary and binary predicate
+names.  That is exact, since the bare-name inference above reads nothing
+else of the ABox; KBs over one ontology share one TBox object, so the
+chase's caches keyed by it hit by identity.  A failed parse is not cached.
 """
 
 from __future__ import annotations
@@ -24,9 +30,10 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from operator import attrgetter
-from typing import NamedTuple, NoReturn, Union
+from typing import AbstractSet, NamedTuple, NoReturn, Union
 
 from .errors import ParseError
 
@@ -190,7 +197,7 @@ class EncodedAbox(NamedTuple):
 
 def _encoded(facts: dict[str, set[tuple[str, ...]]]) -> EncodedAbox:
     """The EncodedAbox of each predicate's argument-name tuples."""
-    adom = frozenset(name for rows in facts.values() for args in rows for name in args)
+    adom = frozenset(chain.from_iterable(chain.from_iterable(facts.values())))
     return EncodedAbox({p: frozenset(rows) for p, rows in facts.items()}, adom)
 
 
@@ -423,20 +430,59 @@ def parse_kb(text: str) -> KnowledgeBase:
     split = _ABOX_RE.search(text)
     facts = split and _scan_facts(text[split.end():])
     if facts:
+        unary, binary = facts
         try:
-            return _parse(_Tokens(text[: split.end()], _TOKEN_RE), facts)
+            tbox = _tbox(text[: split.end()], frozenset(unary), frozenset(binary))
         except ParseError:
             pass
-    return _parse(_Tokens(text, _TOKEN_RE), None)
+        else:
+            return KnowledgeBase.of_encoded(tbox, _encoded(unary | binary))
+    return _parse(_Tokens(text, _TOKEN_RE))
 
 
-def _parse(toks: _Tokens, facts: _Facts | None) -> KnowledgeBase:
-    """The KB of toks, with the ABox `facts` (toks then end at ABOX) or,
-    if None, the ABox read from toks."""
+@lru_cache(maxsize=8)
+def _tbox(head: str, unary: frozenset[str], binary: frozenset[str]) -> frozenset[TBoxAxiom]:
+    """The TBox of `head`, the text through the ABOX token, in a KB whose
+    ABox uses the predicates `unary` with one argument and `binary` with
+    two; raises ParseError on an error in head or on a predicate used with
+    the other arity, which the checking path then locates."""
+    toks = _Tokens(head, _TOKEN_RE)
+    tbox, roles, concepts = _axioms(toks, _read_axioms(toks), unary, binary)
+    if unary & roles or binary & concepts:
+        toks.fail("predicate used with the wrong arity")
+    return tbox
+
+
+def _parse(toks: _Tokens) -> KnowledgeBase:
+    """The KB of toks, a whole text, read through the checking path."""
+    raw_axioms = _read_axioms(toks)
+    toks.next(":")
+    start = toks.index
+    unary, binary = {}, {}
+    while toks.peek() is not None:
+        name, args = _read_fact(toks)
+        (unary if len(args) == 1 else binary).setdefault(name, set()).add(args)
+    tbox, roles, concepts = _axioms(toks, raw_axioms, unary.keys(), binary.keys())
+
+    # A name is used with one arity, as a role or as a concept; the first
+    # fact that breaks this is reported.
+    if unary.keys() & roles or binary.keys() & concepts:
+        toks.index = start
+        while True:
+            at = toks.index
+            name, args = _read_fact(toks)
+            if name in roles and len(args) == 1:
+                toks.fail(f"role {name!r} used with 1 argument", at)
+            if name in concepts and len(args) == 2:
+                toks.fail(f"concept {name!r} used with 2 arguments", at)
+    return KnowledgeBase.of_encoded(tbox, _encoded(unary | binary))
+
+
+def _read_axioms(toks: _Tokens) -> list[tuple]:
+    """The axioms from the TBOX token through the ABOX token, with bare
+    names left unresolved: (lhs, negated, rhs, index of the [= token)."""
     toks.next("TBOX")
     toks.next(":")
-
-    # First pass: read axioms with bare names left unresolved.
     raw_axioms: list[tuple] = []
     while not (toks.at("ABOX") or toks.peek() is None):
         lhs = _parse_side(toks)
@@ -450,14 +496,15 @@ def _parse(toks: _Tokens, facts: _Facts | None) -> KnowledgeBase:
         raw_axioms.append((lhs, negated, rhs, at))
         toks.next(".")
     toks.next("ABOX")
-    if facts is None:
-        toks.next(":")
-    start = toks.index
-    unary, binary = facts or ({}, {})
-    while toks.peek() is not None:  # the checking path
-        name, args = _read_fact(toks)
-        (unary if len(args) == 1 else binary).setdefault(name, set()).add(args)
+    return raw_axioms
 
+
+def _axioms(
+    toks: _Tokens, raw_axioms: list[tuple], unary: AbstractSet[str], binary: AbstractSet[str]
+) -> tuple[frozenset[TBoxAxiom], set[str], set[str]]:
+    """The TBox of the raw axioms, with the role and concept names, in a KB
+    whose ABox uses the names `unary` with one argument and `binary` with
+    two; errors are reported at the tokens of toks."""
     # Vocabulary inference for the ambiguous bare-name inclusions, decided
     # before any axiom is built, so that the order of the axioms does not
     # matter.  Role evidence (binary facts, names under exists/inv) spreads to
@@ -515,20 +562,7 @@ def _parse(toks: _Tokens, facts: _Facts | None) -> KnowledgeBase:
                 axioms.append(ConceptDisjointness(sides[0], sides[1]))
             else:
                 axioms.append(ConceptInclusion(sides[0], sides[1]))
-
-    # A name is used with one arity, as a role or as a concept; the first
-    # fact that breaks this is reported.  Scanned facts have no tokens, so
-    # there _read_fact raises at once and parse_kb takes the checking path.
-    if unary.keys() & roles or binary.keys() & concepts:
-        toks.index = start
-        while True:
-            at = toks.index
-            name, args = _read_fact(toks)
-            if name in roles and len(args) == 1:
-                toks.fail(f"role {name!r} used with 1 argument", at)
-            if name in concepts and len(args) == 2:
-                toks.fail(f"concept {name!r} used with 2 arguments", at)
-    return KnowledgeBase.of_encoded(frozenset(axioms), _encoded(unary | binary))
+    return frozenset(axioms), roles, concepts
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:

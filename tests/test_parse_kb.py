@@ -12,6 +12,7 @@ import pytest
 
 import reference
 from conftest import FIXTURES, teaching_kb_text
+from sparqlkb import chase as chase_module
 from sparqlkb import kb as kb_module
 from sparqlkb.errors import ParseError
 from sparqlkb.harness import SizeParams, generate_instances
@@ -147,3 +148,44 @@ def test_other_whitespace_in_the_abox_is_an_unexpected_character(text, error):
     with pytest.raises(ParseError) as exc:
         parse_kb(text)
     assert str(exc.value) == error
+
+
+# --- one TBox per text: the cache key holds the ABox's arities -------------
+
+
+def test_the_tbox_cache_is_keyed_by_the_abox_arities():
+    """One TBox head reads as a role inclusion, a concept inclusion or a
+    clash, by the ABox alone; with the cache warm, in either order, each
+    parse gives what the token parser gives, and a failed parse is not
+    cached and fails again with the same message."""
+    head = "TBOX: A [= B . ABOX: "
+    texts = [head + "A(a, b) .", head + "A(a) .", head + "A(a, b) . B(c) ."]
+    expected = [outcome(reference.token_parse_kb, text) for text in texts]
+    assert [type(e) for e in expected] == [kb_module.KnowledgeBase] * 2 + [str]
+    assert [type(ax) for e in expected[:2] for ax in e.tbox] == [
+        kb_module.RoleInclusion, kb_module.ConceptInclusion]
+    kb_module._tbox.cache_clear()
+    for order in (texts, texts[::-1], texts):
+        for text in order:
+            size = kb_module._tbox.cache_info().currsize
+            assert outcome(parse_kb, text) == expected[texts.index(text)]
+            if text == texts[2]:
+                assert kb_module._tbox.cache_info().currsize == size
+    assert kb_module._tbox.cache_info().currsize == 2
+    assert kb_module._tbox.cache_info().hits == 4
+
+
+def test_kbs_over_one_tbox_text_share_its_axioms():
+    """The benchmark's shape: renaming the individuals keeps the TBox text,
+    so both KBs hold one TBox object, and the second KB's model saturates
+    no TBox."""
+    text = branching_chase_kb_text()
+    renamed = re.sub(r"\bI(\d+)\b", r"K\1", text)
+    assert renamed != text
+    kb1, kb2 = parse_kb(text), parse_kb(renamed)
+    assert kb1 != kb2 and kb1.tbox is kb2.tbox
+    assert (kb1, kb2) == (reference.token_parse_kb(text), reference.token_parse_kb(renamed))
+    chase_module._model(kb1)
+    misses = chase_module.saturate.cache_info().misses
+    chase_module._model(kb2)
+    assert chase_module.saturate.cache_info().misses == misses

@@ -290,7 +290,7 @@ def test_every_cache_is_bounded():
             for name, obj in vars(module).items()
             if hasattr(obj, "cache_parameters")
         )
-    assert caches
+    assert ("sparqlkb.kb", "_tbox", 8) in caches
     assert [c for c in caches if c[2] is None] == []
 
 

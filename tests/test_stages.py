@@ -51,3 +51,14 @@ def test_measure_times_each_request_after_the_warm_up():
     stages = _stages()
     times = stages.measure(sparqlkb, stages.load_workloads()["nested-opt"], requests=2, seed=1)
     assert len(times) == 2 and all(len(row) == len(stages.STAGES) for row in times)
+
+
+def test_workload_runs_only_the_workloads_named(capsys):
+    stages = _stages()
+    assert stages.main(["--requests", "1", "--workload", "nested-opt",
+                        "--workload", "teaching-opt"]) == 0
+    heads = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+             if not line.startswith(" ")]
+    assert heads == ["nested-opt", "teaching-opt"]
+    with pytest.raises(SystemExit):
+        stages.main(["--workload", "property-corpus"])

@@ -2,7 +2,7 @@
 
 Run from anywhere:
 
-    python3 tools/stages.py --requests 300 --seed 0
+    python3 tools/stages.py --requests 300 --seed 0 [--workload NAME ...]
 
 For each eval workload of perfbench/workloads.py (imported from its file,
 which this script does not change), the script writes --requests fresh
@@ -12,8 +12,9 @@ file read, parse_kb, parse_query, _model (the chase's model of the KB, which
 the semantics then reads from its cache), semantics and print.  One untimed
 request runs first.  Every answer is checked with the workload's oracle.
 For each workload it prints the mean time of each stage and its share of
-the request.  The package is imported from this checkout's src/.  It uses
-only the standard library.
+the request.  --workload, which may be repeated, runs only the workloads
+named, in the order given; by default all three run.  The package is
+imported from this checkout's src/.  It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -106,10 +107,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--requests", type=int, default=300)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workload", action="append", choices=EVAL_WORKLOADS)
     args = parser.parse_args(argv)
     sparqlkb = import_sparqlkb()
     workloads = load_workloads()
-    for name in EVAL_WORKLOADS:
+    for name in args.workload or EVAL_WORKLOADS:
         times = measure(sparqlkb, workloads[name], args.requests, args.seed)
         print("\n".join(summarize(name, times)))
     return 0
