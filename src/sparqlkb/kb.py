@@ -17,6 +17,9 @@ wherever in the file that use is.
 `parse_kb` tokenizes only the text before the ABox and reads the ABox by one
 regex scan.  Text that the scan does not read whole, and every error, take
 the checking path, which tokenizes the whole text and locates the error.
+Both grammars, the KB's and the query's, read every name through
+`_parse_name` and every argument list through `_parse_args`, and the scan
+is built from the same name, individual and whitespace classes.
 
 The TBox is built once per text: `_tbox`, an 8-entry LRU cache, is keyed by
 the text through the ABOX token and the ABox's unary and binary predicate
@@ -33,12 +36,18 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import attrgetter
-from typing import AbstractSet, NamedTuple, NoReturn, Union
+from typing import AbstractSet, Callable, NamedTuple, NoReturn, Union
 
 from .errors import ParseError
 
-INDIVIDUAL_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_]*\Z")
-NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# Each lexical class of both grammars, written once; every reader of one,
+# the ABox scan's included, is built from these strings.
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_INDIVIDUAL = r"[A-Za-z0-9][A-Za-z0-9_]*"
+_WS = " \t\r\n"  # whitespace is exactly these characters
+
+INDIVIDUAL_RE = re.compile(_INDIVIDUAL + r"\Z")
+NAME_RE = re.compile(_NAME + r"\Z")
 
 # Prefixes of the reserved RDF/RDFS/OWL vocabularies; qualified names such as
 # rdf:type are rejected up front.
@@ -281,7 +290,7 @@ def active_domain(kb: KnowledgeBase) -> frozenset[Term]:
 _TOKEN_RE = re.compile(r"\[=|[A-Za-z0-9_]+|[().,:]|\#[^\n]*")
 # After a grammar's tokens, the rest of the text from the first character
 # that is neither whitespace nor the start of a token.
-_REST = r"|[^ \t\r\n][\s\S]*"
+_REST = rf"|[^{_WS}][\s\S]*"
 
 
 class _Tokens:
@@ -327,25 +336,31 @@ class _Tokens:
         return self.peek() == value
 
 
-def _check_reserved(name: str, toks: _Tokens) -> None:
-    if name in RESERVED_PREFIXES and toks.at(":"):
-        toks.fail(f"reserved vocabulary name: {name}")
-
-
-def _parse_name(toks: _Tokens, what: str) -> str:
+def _parse_name(toks: _Tokens, what: str, pattern: re.Pattern = NAME_RE) -> str:
+    """The next token, which must match pattern and be no reserved prefix:
+    the one name reader of both grammars."""
     value = toks.next()
-    if not NAME_RE.match(value):
+    if not pattern.match(value):
         toks.fail(f"expected {what}, found {value!r}")
-    _check_reserved(value, toks)
+    if value in RESERVED_PREFIXES and toks.at(":"):
+        toks.fail(f"reserved vocabulary name: {value}")
     return value
 
 
 def _parse_individual(toks: _Tokens) -> str:
-    value = toks.next()
-    if not INDIVIDUAL_RE.match(value):
-        toks.fail(f"expected individual, found {value!r}")
-    _check_reserved(value, toks)
-    return value
+    return _parse_name(toks, "individual", INDIVIDUAL_RE)
+
+
+def _parse_args(toks: _Tokens, read: Callable[[_Tokens], object]) -> tuple:
+    """``( x )`` or ``( x , y )``, each x read by read(toks): the one
+    argument-list reader of both grammars."""
+    toks.next("(")
+    args = [read(toks)]
+    if toks.at(","):
+        toks.next()
+        args.append(read(toks))
+    toks.next(")")
+    return tuple(args)
 
 
 def _parse_inv(toks: _Tokens) -> RoleExpr:
@@ -376,29 +391,22 @@ def _parse_side(toks: _Tokens):
 def _read_fact(toks: _Tokens) -> tuple[str, tuple[str, ...]]:
     """One ABox statement, through the checking path, which raises."""
     name = _parse_name(toks, "predicate")
-    toks.next("(")
-    args = [_parse_individual(toks)]
-    if toks.at(","):
-        toks.next()
-        args.append(_parse_individual(toks))
-    toks.next(")")
+    args = _parse_args(toks, _parse_individual)
     toks.next(".")
-    return name, tuple(args)
+    return name, args
 
 
 _Facts = tuple[dict[str, set], dict[str, set]]  # unary, binary: predicate -> argument tuples
 
 
-# One scan reads the facts after the ABOX token as _Tokens would: a name, a
-# name or number, whitespace exactly [ \t\r\n], and no reserved name, since
-# no ':' follows one.  A comment never takes its newline, so deleting the
-# comments leaves the tokens as they were.  At text that is not a fact the
-# last alternative takes the rest: findall skips none.
-_WS = r"[ \t\r\n]*"
-_IND = r"([A-Za-z0-9][A-Za-z0-9_]*)"
-_FACT_RE = re.compile(
-    rf"{_WS}([A-Za-z][A-Za-z0-9_]*){_WS}\({_WS}{_IND}{_WS}(?:,{_WS}{_IND}{_WS})?\){_WS}\.|([\s\S]+)"
-)
+# One scan reads the facts after the ABOX token as _Tokens would, from the
+# same lexical classes, and no reserved name, since no ':' follows one.  A
+# comment never takes its newline, so deleting the comments leaves the tokens
+# as they were.  At text that is not a fact the last alternative takes the
+# rest: findall skips none.
+_SPACE = f"[{_WS}]*"
+_ARG = f"{_SPACE}({_INDIVIDUAL}){_SPACE}"
+_FACT_RE = re.compile(rf"{_SPACE}({_NAME}){_SPACE}\({_ARG}(?:,{_ARG})?\){_SPACE}\.|([\s\S]+)")
 _COMMENT_RE = re.compile(r"\#[^\n]*")
 # The first ABOX token: a whole name with no '#' before it on its line.
 _ABOX_RE = re.compile(r"^[^#\n]*?\bABOX\b", re.M | re.A)
@@ -408,7 +416,7 @@ def _scan_facts(text: str) -> _Facts | None:
     """The facts of the text after the ABOX token; None unless it is ':'
     and well-formed facts."""
     text = _COMMENT_RE.sub("", text) if "#" in text else text
-    body = text.strip(" \t\r\n")
+    body = text.strip(_WS)
     if body[:1] != ":":
         return None
     facts = _FACT_RE.findall(body, 1)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import QueryShapeError
-from .kb import INDIVIDUAL_RE, NAME_RE, Term, Var, _Tokens, individual
+from .kb import NAME_RE, Term, Var, _parse_args, _parse_individual, _parse_name, _Tokens, individual
 
 VarSet = frozenset[Var]
 VarSetFamily = frozenset[VarSet]
@@ -286,14 +286,8 @@ _Q_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[(){},?]")
 def _parse_term(toks: _Tokens) -> Union[Var, Term]:
     if toks.at("?"):
         toks.next()
-        value = toks.next()
-        if not NAME_RE.match(value):
-            toks.fail(f"expected variable name, found {value!r}")
-        return Var(value)
-    value = toks.next()
-    if not INDIVIDUAL_RE.match(value):
-        toks.fail(f"expected individual, found {value!r}")
-    return individual(value)
+        return Var(_parse_name(toks, "variable name"))
+    return individual(_parse_individual(toks))
 
 
 def _parse_query(toks: _Tokens, depth: int = 0) -> Query:
@@ -307,10 +301,7 @@ def _parse_query(toks: _Tokens, depth: int = 0) -> Query:
         toks.next("{")
         var_names = []
         while not toks.at("}"):
-            v = toks.next()
-            if not NAME_RE.match(v):
-                toks.fail(f"expected variable name, found {v!r}")
-            var_names.append(v)
+            var_names.append(_parse_name(toks, "variable name"))
             if toks.at(","):
                 toks.next()
         toks.next("}")
@@ -331,13 +322,7 @@ def _parse_query(toks: _Tokens, depth: int = 0) -> Query:
         return ctor(left, right)
     if not NAME_RE.match(value):
         toks.fail(f"invalid predicate name {value!r}")
-    toks.next("(")
-    args = [_parse_term(toks)]
-    if toks.at(","):
-        toks.next()
-        args.append(_parse_term(toks))
-    toks.next(")")
-    return TriplePattern(value, tuple(args))
+    return TriplePattern(value, _parse_args(toks, _parse_term))
 
 
 def parse_query(text: str) -> Query:

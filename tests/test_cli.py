@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+import reference
 from conftest import FIXTURES, TEACHING_QUERY, join_chain, teaching_kb_text
 from sparqlkb import SEMANTICS
+from sparqlkb.errors import ParseError
 from sparqlkb.kb import Atom, Term
 from sparqlkb.mappings import SolutionMapping
 from sparqlkb.cli import (
@@ -256,6 +258,29 @@ class TestErrorPaths:
         assert code == EXIT_PARSE and text == ""
         err = capsys.readouterr().err
         assert "query nested too deeply" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("TBOX: inv(r) [= exists s . ABOX:", "1:14: role inclusion cannot mix concepts and roles"),
+        ("TBOX: inv(r) [= not A . ABOX:", "1:14: disjointness requires basic concepts on both sides"),
+    ])
+    def test_axiom_sides_of_the_wrong_kind_are_parse_errors(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.kb"
+        bad.write_text(text)
+        code, out = run("chase", "--kb", str(bad))
+        assert code == EXIT_PARSE and out == ""
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+        with pytest.raises(ParseError) as raised:
+            reference.token_parse_kb(text)
+        assert str(raised.value) == message
+
+    def test_a_select_list_name_is_a_variable_name(self, tmp_path, capsys):
+        q = tmp_path / "bad.sq"
+        q.write_text("SELECT{1x}( A(?x) )")
+        code, out = run(
+            "eval", "--kb", fixture("ex1.kb"), "--query", str(q), "--semantics", "mcan",
+        )
+        assert code == EXIT_PARSE and out == ""
+        assert capsys.readouterr().err == "parse error: 1:8: expected variable name, found '1x'\n"
 
     def test_unsat_kb_exit_code(self, tmp_path):
         kb = tmp_path / "unsat.kb"

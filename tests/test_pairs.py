@@ -1,6 +1,6 @@
 """tools/pairs.py's summary of alternating benchmark pairs, on canned
-result lines, and its refusal of checkouts whose paths differ in length:
-no benchmark runs here."""
+result lines, its choice of workloads, and its refusal of checkouts whose
+paths differ in length: no benchmark runs here."""
 
 import importlib.util
 import json
@@ -98,3 +98,46 @@ def test_checkouts_whose_paths_have_equal_length_run(tmp_path, monkeypatch, caps
     assert ran == [("a", 1), ("b", 1), ("b", 2), ("a", 2)]
     assert "throughput_rps (higher is better): base 1 [1-1], change 2 [2-2], change won 2 of 2" in (
         capsys.readouterr().out.splitlines())
+
+
+def test_no_workload_chooses_every_benchmark_workload_and_a_name_chooses_itself():
+    pairs = _pairs()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    every = [w["name"] for w in benchmark["workloads"]]
+    assert len(every) >= 2
+    assert pairs.chosen_workloads(None, benchmark) == every
+    assert pairs.chosen_workloads([every[-1], every[0]], benchmark) == [every[-1], every[0]]
+
+
+def test_every_workload_runs_and_prints_its_own_block(tmp_path, monkeypatch, capsys):
+    pairs = _pairs()
+    base, change = tmp_path / "a", tmp_path / "b"
+    base.mkdir()
+    change.mkdir()
+    ran = []
+
+    def run_once(checkout, workload, seed, seconds):
+        ran.append((workload, checkout.name, seed))
+        metrics = {name: {"value": 1.0} for name in METRICS}
+        return {"attempted": 100, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = ["--base", str(base), "--change", str(change), "--first-seed", "5", "--pairs", "1"]
+    assert pairs.main(argv) == 0
+    every = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert ran == [(w, side, 5) for w in every for side in ("a", "b")]
+    out = capsys.readouterr().out.splitlines()
+    # one header, then one line pair per metric and the failure line
+    block = 1 + 2 * len(METRICS) + 1
+    assert len(out) == block * len(every)
+    assert [out[i * block] for i in range(len(every))] == [f"{w}:" for w in every]
+
+
+def test_an_unknown_workload_is_refused(tmp_path, monkeypatch):
+    pairs = _pairs()
+    ran = []
+    monkeypatch.setattr(pairs, "run_once", lambda *args: ran.append(args))
+    with pytest.raises(SystemExit) as refused:
+        pairs.main(["--base", str(tmp_path), "--change", str(tmp_path), "--workload", "nope",
+                    "--first-seed", "1", "--pairs", "1"])
+    assert refused.value.code == 2 and ran == []

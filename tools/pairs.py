@@ -4,16 +4,20 @@ Run from anywhere, with two checkouts of the repository whose paths have
 equal length (perfbench's peak_rss_mb moves with it, so the script refuses
 checkouts whose resolved paths differ in length before it runs anything):
 
-    python3 tools/pairs.py --base ../a --change ../b --workload property-corpus \\
-        --first-seed 41 --pairs 10 --seconds 8
+    python3 tools/pairs.py --base ../a --change ../b --first-seed 41 --pairs 10 \\
+        --seconds 8 [--workload NAME ...]
 
-Pair i runs ``perfbench/run.py --workload W --seed S+i --seconds N --trace 0``
-in both checkouts, one after the other; the base runs first in even pairs and
-the change in odd ones.  Each run's result is the JSON object on the last line
-of its standard output.  For each end-to-end metric the script prints both
-sides' medians and quartiles, the number of pairs the change won (strictly
-better, in the direction that BENCHMARK.json declares) and every pair's two
-values.  It uses only the standard library.
+Without --workload it runs every workload of BENCHMARK.json, one after the
+other; --workload, which may be repeated, runs only the workloads named.
+For each workload W, pair i runs
+``perfbench/run.py --workload W --seed S+i --seconds N --trace 0`` in both
+checkouts, one after the other; the base runs first in even pairs and the
+change in odd ones.  Each run's result is the JSON object on the last line
+of its standard output.  Each workload's summary block starts with its name;
+for each end-to-end metric it gives both sides' medians and quartiles, the
+number of pairs the change won (strictly better, in the direction that
+BENCHMARK.json declares) and every pair's two values.  It uses only the
+standard library.
 """
 
 from __future__ import annotations
@@ -70,11 +74,19 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
     return lines
 
 
+def chosen_workloads(named: list[str] | None, benchmark: dict) -> list[str]:
+    """The workloads to run: those named, in order, or else every workload
+    of the benchmark declaration."""
+    return named or [w["name"] for w in benchmark["workloads"]]
+
+
 def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append",
+                        choices=[w["name"] for w in benchmark["workloads"]])
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, default=8)
@@ -85,19 +97,19 @@ def main(argv=None) -> int:
             f"checkout paths differ in length ({base_path!r}: {len(base_path)}, "
             f"{change_path!r}: {len(change_path)}); peak_rss_mb moves with it"
         )
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    pairs = []
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        runs = [("base", args.base), ("change", args.change)]
-        if i % 2:
-            runs.reverse()
-        results = {side: run_once(checkout, args.workload, seed, args.seconds)
-                   for side, checkout in runs}
-        pairs.append((results["base"], results["change"]))
-        print(f"pair {i + 1} (seed {seed}) done", file=sys.stderr)
-    print("\n".join(summarize(pairs, better)))
+    for workload in chosen_workloads(args.workload, benchmark):
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            runs = [("base", args.base), ("change", args.change)]
+            if i % 2:
+                runs.reverse()
+            results = {side: run_once(checkout, workload, seed, args.seconds)
+                       for side, checkout in runs}
+            pairs.append((results["base"], results["change"]))
+            print(f"{workload}: pair {i + 1} (seed {seed}) done", file=sys.stderr)
+        print("\n".join([f"{workload}:"] + summarize(pairs, better)), flush=True)
     return 0
 
 
