@@ -19,13 +19,13 @@ post-ops on those rows alone.
 Each row function takes `over`, the function it evaluates a query over a
 chase with: `evaluate` for `eval`, which runs one semantics per request,
 and the memo `evaluate_once` for the library functions, which a check run
-calls for every semantics on the same (q, KB).  The fork is measured, not
-taste: with `eval` reading its chase through `evaluate_once` too,
+calls for every semantics on the same (q, KB).  The fork stays by
+measurement: with `eval` reading its chase through `evaluate_once` too,
 teaching-opt lost all 5 alternating 8 s perfbench pairs (seeds 301–305,
-2-core sandbox): `latency_tail_ms` 10.21 → 16.96 ms (+66 %, past the
-benchmark's 25 % bound), `peak_rss_mb` 19.06 → 19.83 and 215.1 → 203.0
-rps.  The likely cause, not isolated, is that the memo's 16 entries keep
-the chases of finished `eval` requests alive.
+2 cores, Python 3.11): `latency_tail_ms` 10.21 → 16.96 ms (+66 %, past
+the benchmark's 25 % bound), `peak_rss_mb` 19.06 → 19.83 and 215.1 →
+203.0 rps.  The likely cause, not isolated, is that the memo's 16 entries
+keep the chases of finished `eval` requests alive.
 """
 
 from __future__ import annotations

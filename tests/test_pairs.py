@@ -132,12 +132,3 @@ def test_every_workload_runs_and_prints_its_own_block(tmp_path, monkeypatch, cap
     assert len(out) == block * len(every)
     assert [out[i * block] for i in range(len(every))] == [f"{w}:" for w in every]
 
-
-def test_an_unknown_workload_is_refused(tmp_path, monkeypatch):
-    pairs = _pairs()
-    ran = []
-    monkeypatch.setattr(pairs, "run_once", lambda *args: ran.append(args))
-    with pytest.raises(SystemExit) as refused:
-        pairs.main(["--base", str(tmp_path), "--change", str(tmp_path), "--workload", "nope",
-                    "--first-seed", "1", "--pairs", "1"])
-    assert refused.value.code == 2 and ran == []
