@@ -25,6 +25,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
+from weakref import WeakKeyDictionary
 
 from .errors import UnsatisfiableKbError
 from .graph import Graph
@@ -51,8 +52,8 @@ class SaturatedTBox:
     supers: dict[RoleExpr, tuple[RoleExpr, ...]] = field(repr=False)
     implied: dict[BasicConcept, frozenset[BasicConcept]] = field(repr=False)
     disjoint: frozenset[tuple[BasicConcept, BasicConcept]]
-    # The types derived from this TBox alone, filled by `_model`: the TBox
-    # predicates of an element's facts (its signature) -> _Type.
+    # The types derived from this TBox alone, filled by `_signature_type`:
+    # the TBox predicates of an element's facts (its signature) -> _Type.
     types: dict = field(default_factory=dict, repr=False)
 
     def super_roles(self, r: RoleExpr) -> tuple[RoleExpr, ...]:
@@ -199,32 +200,39 @@ def _signature_type(sat: SaturatedTBox, key: frozenset) -> _Type:
     concept names of their unary facts, and (p, inverse) for their edges
     of TBox role p.  A witness created through r has one fact, its edge
     from its parent, so its key is {(r's name, r is not an inverse)}."""
-    memo = sat.types
-    typ = memo.get(key)
-    if typ is None:
-        if len(memo) >= _SIGNATURE_TYPES:
-            del memo[next(iter(memo))]
+    if key not in sat.types:
         satisfied = set()
         for k in key:
             if isinstance(k, str):
                 satisfied.add(BasicConcept("atomic", k))
             else:
                 satisfied.update(exists(s) for s in sat.super_roles(RoleExpr(*k)))
-        typ = memo[key] = _type(satisfied, sat)
-    return typ
+        remember(sat.types, _SIGNATURE_TYPES, key, _type(satisfied, sat))
+    return sat.types[key]
 
 
-# Small caches, here and on `chase`: a request rarely reuses another's KB,
-# and every entry keeps a whole model alive, which lengthens full garbage
-# collections.  The types live with the saturated TBox and die with
-# `saturate`'s entry: at most _SIGNATURE_TYPES per TBox, the oldest evicted
-# first, since the subsets of a TBox's concepts can outnumber any bound.
-_SIGNATURE_TYPES = 512
+def remember(memo: dict, cap: int, key, value) -> None:
+    """memo[key] = value, evicting memo's oldest entry first if it holds cap."""
+    if len(memo) >= cap:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
-@lru_cache(maxsize=8)
+# Memos live on what they derive from, capped where callers can grow them
+# without end: a TBox's types, each live KB's model and chases by bound (equal
+# KBs share them), and each chase's answers.  Nothing refers back from a model
+# to its chases, so refcounting frees them all once a request drops its KB.
+_SIGNATURE_TYPES, _CHASES, _ANSWERS = 512, 8, 16
+_DERIVED: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def _model(kb: KnowledgeBase) -> _Model:
-    """The model of a KB, derived once per KB from the types of its TBox.
+    """The model of a KB, derived once per KB (see `_derive`)."""
+    return (_DERIVED.get(kb) or _derive(kb))[0]
+
+
+def _derive(kb: KnowledgeBase) -> tuple[_Model, dict]:
+    """`_DERIVED`'s entry for a KB: its model, from its TBox's types, and no chase.
 
     An element's type is read off its signature (see `_signature_type`).
     A fact over a predicate the TBox never mentions is in the entailed
@@ -287,7 +295,8 @@ def _model(kb: KnowledgeBase) -> _Model:
     carried = {a for w in witness.values() for a in w.atomic}
     carried.update(p for w in witness.values() for p, _ in w.edges)
     consistent = not any(typ.clash for typ in reached)
-    return _Model(index, fire, witness, frozenset(carried), consistent, {})
+    found = _DERIVED[kb] = (_Model(index, fire, witness, frozenset(carried), consistent, {}), {})
+    return found
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,6 +313,7 @@ class ChaseGraph:
 
     model: _Model = field(repr=False)
     bound: int
+    answers: dict = field(default_factory=dict, repr=False)  # query -> Rows
 
     @cached_property
     def graph(self) -> Graph:
@@ -374,18 +384,19 @@ class ChaseGraph:
         return found
 
 
-def _consistent_model(kb: KnowledgeBase) -> _Model:
-    """The KB's model; raises UnsatisfiableKbError if the KB is inconsistent."""
-    model = _model(kb)
+def _consistent(model: _Model) -> _Model:
+    """The model; raises UnsatisfiableKbError if its KB is inconsistent."""
     if not model.consistent:
         raise UnsatisfiableKbError("knowledge base is unsatisfiable")
     return model
 
 
-@lru_cache(maxsize=8)
 def chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     """Restricted chase up to the given witness depth; rejects unsat KBs."""
-    return ChaseGraph(_consistent_model(kb), bound)
+    model, chases = _DERIVED.get(kb) or _derive(kb)
+    if bound not in chases:
+        remember(chases, _CHASES, bound, ChaseGraph(_consistent(model), bound))
+    return chases[bound]
 
 
 def witness_count(kb: KnowledgeBase, bound: int) -> int:
@@ -426,4 +437,4 @@ def is_satisfiable(kb: KnowledgeBase) -> bool:
 
 def entailed_abox(kb: KnowledgeBase) -> Graph:
     """All atoms over the active domain entailed by the KB."""
-    return Graph.of_index(_consistent_model(kb).index)
+    return Graph.of_index(_consistent(_model(kb)).index)

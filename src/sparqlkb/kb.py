@@ -21,11 +21,8 @@ Both grammars, the KB's and the query's, read every name through
 `_parse_name` and every argument list through `_parse_args`, and the scan
 is built from the same name, individual and whitespace classes.
 
-The TBox is built once per text: `_tbox`, an 8-entry LRU cache, is keyed by
-the text through the ABOX token and the ABox's unary and binary predicate
-names.  That is exact, since the bare-name inference above reads nothing
-else of the ABox; KBs over one ontology share one TBox object, so the
-chase's caches keyed by it hit by identity.  A failed parse is not cached.
+The TBox is built once per text by `_tbox` (see there), so KBs over one
+ontology share one TBox object, and `chase.saturate`'s cache hits by identity.
 """
 
 from __future__ import annotations
@@ -450,10 +447,10 @@ def parse_kb(text: str) -> KnowledgeBase:
 
 @lru_cache(maxsize=8)
 def _tbox(head: str, unary: frozenset[str], binary: frozenset[str]) -> frozenset[TBoxAxiom]:
-    """The TBox of `head`, the text through the ABOX token, in a KB whose
-    ABox uses the predicates `unary` with one argument and `binary` with
-    two; raises ParseError on an error in head or on a predicate used with
-    the other arity, which the checking path then locates."""
+    """The TBox of `head` (the text through ABOX) in a KB whose ABox uses
+    `unary` with one argument and `binary` with two, all that the role
+    inference reads of an ABox; raises ParseError on an error in head or on a
+    predicate used with the other arity, which the checking path locates."""
     toks = _Tokens(head, _TOKEN_RE)
     tbox, roles, concepts = _axioms(toks, _read_axioms(toks), unary, binary)
     if unary & roles or binary & concepts:

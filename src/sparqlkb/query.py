@@ -7,10 +7,13 @@ Grammar (prefix form):
              | "UNION(" query "," query ")"
              | "JOIN(" query "," query ")"
              | "OPT(" query "," query ")"
+    varlist := { var [","] }
     atomPat := Name "(" term ")" | Name "(" term "," term ")"
     term    := "?"var | individual
 
-SELECT, UNION, JOIN and OPT are reserved and cannot be used as predicates.
+A varlist's commas are optional and a trailing one is accepted; a leading
+comma and two in a row are refused.  SELECT, UNION, JOIN and OPT are
+reserved and cannot be used as predicates.
 """
 
 from __future__ import annotations

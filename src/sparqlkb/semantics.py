@@ -16,24 +16,16 @@ so ⊗ adm(q) leaves it too.  So each semantics that reads the chase finds
 the witness rows first, from the set of values its rows hold, and runs its
 post-ops on those rows alone.
 
-Each row function takes `over`, the function it evaluates a query over a
-chase with: `evaluate` for `eval`, which runs one semantics per request,
-and the memo `evaluate_once` for the library functions, which a check run
-calls for every semantics on the same (q, KB).  The fork stays by
-measurement: with `eval` reading its chase through `evaluate_once` too,
-teaching-opt lost all 5 alternating 8 s perfbench pairs (seeds 301–305,
-2 cores, Python 3.11): `latency_tail_ms` 10.21 → 16.96 ms (+66 %, past
-the benchmark's 25 % bound), `peak_rss_mb` 19.06 → 19.83 and 215.1 →
-203.0 rps.  The likely cause, not isolated, is that the memo's 16 entries
-keep the chases of finished `eval` requests alive.
+`eval` and the library functions read ans(q) over a chase through one
+path, `evaluate_once`, which keeps it on the chase.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable
 
-from .chase import ChaseGraph, chase, default_bound, entailed_abox
+from .chase import _ANSWERS, ChaseGraph, chase, default_bound, entailed_abox, remember
 from .errors import QueryShapeError
 from .kb import KnowledgeBase, Var
 # sparql_ans, sparql_ans_branch, join, diff and adm are unused here; the
@@ -102,19 +94,19 @@ def otimes(rows: Rows, family: VarSetFamily) -> Rows:
     return _restrict_domains(rows, tops)
 
 
-def plain_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
+def plain_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """SPARQL answers over the ABox viewed as a plain graph; TBox ignored."""
     return evaluate(q, kb.encoded.facts)
 
 
-def cert_ucq_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
+def cert_ucq_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Certain answers, via the canonical-model characterization; UCQs only."""
     if not is_ucq_shape(q):
         raise QueryShapeError("certain-answer semantics requires a UCQ-shaped query")
-    return can_rows(q, kb, depth, over)
+    return can_rows(q, kb, depth)
 
 
-def er_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
+def er_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Entailment-regime answers: certain answers at triple patterns, then
     the standard operator algebra.
 
@@ -129,15 +121,15 @@ def _chase(q: Query, kb: KnowledgeBase, depth: int | None) -> ChaseGraph:
     return chase(kb, default_bound(kb, q) if depth is None else depth)
 
 
-def can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
+def can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Answers over the canonical model, filtered to the active domain."""
-    return restrict_filter(over(q, _chase(q, kb, depth)), kb.encoded.adom)
+    return restrict_filter(evaluate_once(q, _chase(q, kb, depth)), kb.encoded.adom)
 
 
-def rest_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
+def rest_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Answers over the canonical model, each projected onto its
     active-domain-valued bindings."""
-    answers = over(q, _chase(q, kb, depth))
+    answers = evaluate_once(q, _chase(q, kb, depth))
     # ▶ leaves a row whose values all lie in adom as it is
     held = _witness_rows(answers, kb.encoded.adom)
     if not held:
@@ -146,24 +138,24 @@ def rest_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=ev
     return Rows(answers.vars, answers.rows - held | restricted.rows)
 
 
-def m_can_sjo_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
+def m_can_sjo_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Maximal admissible canonical answers for UNION-free queries."""
     if not is_union_free(q):
         raise QueryShapeError("SJO semantics requires a UNION-free query")
-    return m_can_rows(q, kb, depth, over)
+    return m_can_rows(q, kb, depth)
 
 
-def m_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None, over=evaluate) -> Rows:
+def m_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Maximal admissible canonical answers, per branch, for SUJO queries."""
     cg = _chase(q, kb, depth)
-    full = over(q, cg)
+    full = evaluate_once(q, cg)
     out: set[tuple] = set()
     for qb in branch(q):
         # sparql_ans_branch(q, cg.graph, qb), with q evaluated once
         if qb == q:
             answers = full
         else:
-            branch_rows = pad(over(qb, cg), full.vars)
+            branch_rows = pad(evaluate_once(qb, cg), full.vars)
             answers = Rows(full.vars, full.rows & branch_rows.rows)
         # (Ω ▶ adom) ⊗ adm(qb): ▶ leaves a row without a witness as it is,
         # and its domain, that of a row of ans(qb), is in adm(qb), so ⊗
@@ -189,27 +181,23 @@ ROWS = {
 """Each semantics by name, as slot rows; `eval` prints these."""
 
 
-@lru_cache(maxsize=16)
 def evaluate_once(q: Query, cg: ChaseGraph) -> Rows:
-    """evaluate(q, cg), shared: the canonical, certain-ucq, restricted and
-    mcan answers all start from ans(q) over the canonical model, and a check
-    run asks for each of them, and for mcan's branches, on the same (q, KB).
-
-    Sharing is exact.  `evaluate` is a pure function of (q, cg); a ChaseGraph
-    is immutable and hashes by identity, so an entry keeps its chase alive
-    and no other chase meets its key.  No operator or semantics changes a
-    Rows it is given or returns (see graph.Rows), so each caller reads the
-    rows as `evaluate` returned them.
-    """
-    return evaluate(q, cg)
+    """evaluate(q, cg), kept in `cg.answers`: the canonical, certain-ucq,
+    restricted and mcan answers all start from ans(q) over the canonical
+    model, and a check run asks for each, and for mcan's branches, on the
+    same (q, KB).  Sharing is exact: `evaluate` is a pure function of
+    (q, cg), and no operator or semantics changes a Rows it is given or
+    returns (see graph.Rows)."""
+    if q not in cg.answers:
+        remember(cg.answers, _ANSWERS, q, evaluate(q, cg))
+    return cg.answers[q]
 
 
 def _public(rows: Callable[..., Rows], name: str) -> Callable[..., MappingSet]:
-    """The library form of a row semantics: the same arguments, and its
-    answers as SolutionMappings, read off the chase through `evaluate_once`."""
+    """The library form of a row semantics: its answers as SolutionMappings."""
 
     def answers(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
-        return to_mappings(rows(q, kb, depth, evaluate_once))
+        return to_mappings(rows(q, kb, depth))
 
     answers.__name__ = answers.__qualname__ = name
     answers.__doc__ = rows.__doc__

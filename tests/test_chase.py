@@ -108,17 +108,21 @@ def _random_tbox(rng: random.Random) -> frozenset:
     return frozenset(tbox)
 
 
+def _count_calls(monkeypatch, name: str) -> list:
+    """Records the arguments of every call of the chase module's function
+    `name` from here on."""
+    calls = []
+    fn = getattr(chase_module, name)
+    monkeypatch.setattr(chase_module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 def _count_types(monkeypatch) -> list:
-    """Records every type derived from here on, with the `saturate` and
-    `_model` caches cleared."""
-    derived = []
-    derive = chase_module._type
-    monkeypatch.setattr(
-        chase_module, "_type", lambda *args: derived.append(args) or derive(*args)
-    )
+    """Records every type derived from here on, with `saturate`'s cache and
+    every KB's model cleared."""
     saturate.cache_clear()
-    chase_module._model.cache_clear()
-    return derived
+    chase_module._DERIVED.clear()
+    return _count_calls(monkeypatch, "_type")
 
 
 def _closure_tboxes() -> list[frozenset]:
@@ -234,23 +238,27 @@ class TestChase:
                     shape = (concepts.get(name, set()), children.get(name, set()))
                     assert seen.setdefault(step, shape) == shape
 
-    def test_one_build_per_request(self):
-        chase.cache_clear()
-        chase_module._model.cache_clear()
+    def test_one_build_per_request(self, monkeypatch):
+        """A request builds one chase, which a second request on the KB
+        reuses; deciding satisfiability builds none."""
+        chase_module._DERIVED.clear()
+        built = _count_calls(monkeypatch, "ChaseGraph")
         kb = parse_kb(
             "TBOX: A [= exists r . exists inv(r) [= B . B [= not C . ABOX: A(a) ."
         )
         m_can_ans(parse_query("r(?x, ?y)"), kb)
-        assert chase.cache_info().misses == 1
+        assert len(built) == 1
+        can_ans(parse_query("r(?x, ?y)"), kb)
+        assert len(built) == 1
         assert not is_satisfiable(parse_kb("TBOX: A [= not B . ABOX: A(c) . B(c) ."))
-        assert chase.cache_info().misses == 1
+        assert len(built) == 1
 
     def test_one_model_per_kb(self, monkeypatch):
         """Satisfiability, witness counts, chases and the entailed ABox of a
         KB read one model: its types are derived once, and no chase extends
         the entailed ABox that the model holds."""
         derived = _count_types(monkeypatch)
-        chase.cache_clear()
+        models = _count_calls(monkeypatch, "_derive")
         kb = parse_kb(
             "TBOX: A [= exists r . exists inv(r) [= A . A [= not C . ABOX: A(a) . C(b) ."
         )
@@ -261,7 +269,7 @@ class TestChase:
         assert (len(_witnesses(chase(kb, 2))), len(_witnesses(chase(kb, 4)))) == (2, 4)
         assert sorted(str(a) for a in entailed_abox(kb)) == ["A(a)", "C(b)"]
         assert len(derived) == types
-        assert chase_module._model.cache_info().misses == 1
+        assert len(models) == 1
 
     def test_no_predicate_maps_to_an_empty_set(self):
         """Graph.of_index's precondition: a chase adds a predicate to its
@@ -273,10 +281,10 @@ class TestChase:
 
     def test_determinism(self):
         kb = load_kb("ex7.kb")
-        chase.cache_clear()
         first = chase(kb, 4)
-        chase.cache_clear()
+        chase_module._DERIVED.clear()
         second = chase(kb, 4)
+        assert second is not first
         assert first.graph == second.graph
         assert _witnesses(first) == _witnesses(second)
 
@@ -404,7 +412,7 @@ class TestTypesPerTBox:
             KnowledgeBase(tbox, frozenset({Atom("D", (individual("d"),))})),
         ]
         saturate.cache_clear()
-        chase_module._model.cache_clear()
+        chase_module._DERIVED.clear()
         verdicts = {i: is_satisfiable(kbs[i]) for i in (first, 1 - first)}
         assert verdicts == {0: False, 1: True}
         assert [chase_module._model(kb).witness.keys() for kb in kbs] == [{"r"}, set()]
@@ -413,7 +421,7 @@ class TestTypesPerTBox:
         """The slow oracle: each generated TBox over its own ABox and the
         next two instances' ABoxes, so that three KBs share its types.  The
         models read with the types the earlier KBs left equal the models
-        derived with `saturate` and `_model` cleared."""
+        derived with `saturate` and every KB's model cleared."""
         kbs = [
             kb
             for seed in (3, 7, 606)
@@ -426,11 +434,11 @@ class TestTypesPerTBox:
                 for j in range(3)
             ]
             saturate.cache_clear()
-            chase_module._model.cache_clear()
+            chase_module._DERIVED.clear()
             models = [chase_module._model(other) for other in shared]
             for other, model in zip(shared, models):
                 saturate.cache_clear()
-                chase_module._model.cache_clear()
+                chase_module._DERIVED.clear()
                 fresh = chase_module._model(other)
                 assert (model.carried, model.fire, model.witness, model.consistent) == (
                     fresh.carried, fresh.fire, fresh.witness, fresh.consistent

@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import load_kb, load_query, m
+from conftest import load_kb, load_query, m, ms
 from sparqlkb import harness
 from sparqlkb import query as query_module
 from sparqlkb.errors import SparqlKbError, UnsatisfiableKbError
@@ -292,6 +292,21 @@ class TestDifferential:
         assert report.answers["canonical"] == frozenset()
         assert report.relations[("canonical", "restricted")] == "subset"
         assert report.relations[("restricted", "mcan")] in ("=", "extends-into", "extended-by")
+
+    @pytest.mark.parametrize("o1, o2, verdict", [
+        (ms(m(x="a")), ms(m(x="a")), "="),
+        (ms(), ms(m(x="a")), "subset"),
+        (ms(m(x="a"), m(x="b")), ms(m(x="a")), "superset"),
+        (ms(m(x="a")), ms(m(x="a", y="b")), "extends-into"),
+        (ms(m(x="a"), m(x="b")), ms(m(x="a", y="c"), m(x="b"), m(x="d")), "extends-into"),
+        (ms(m(x="a", y="b")), ms(m(x="a"), m(y="b")), "extended-by"),
+        # each extends into the other, and extends-into is asked first
+        (ms(m(x="a"), m(x="a", y="b")), ms(m(x="a", y="b"), m(y="b")), "extends-into"),
+        (ms(m(x="a")), ms(m(x="b")), "incomparable"),
+        (ms(m(x="a"), m(x="b", y="c")), ms(m(x="a", y="d"), m(x="b")), "incomparable"),
+    ])
+    def test_relation_of_hand_built_answer_sets(self, o1, o2, verdict):
+        assert harness._relation(o1, o2) == verdict
 
     def test_describe_mentions_sizes(self):
         desc = describe_instance(load_kb("ex1.kb"), load_query("ex1.sq"))

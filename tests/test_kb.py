@@ -235,15 +235,18 @@ class TestIdentity:
         for i, kb in enumerate(kbs):
             assert [kb == other for other in kbs] == [j == i for j in range(len(kbs))]
 
-    def test_a_parsed_and_an_equal_constructed_kb_share_one_model(self):
+    def test_a_parsed_and_an_equal_constructed_kb_share_one_model(self, monkeypatch):
         parsed = parse_kb("TBOX: A [= exists r . ABOX: A(a) . r(a, b) .")
         a, b = individual("a"), individual("b")
         built = KnowledgeBase(parsed.tbox, frozenset({Atom("A", (a,)), Atom("r", (a, b))}))
-        chase_module._model.cache_clear()
+        chase_module._DERIVED.clear()
+        derived = []
+        derive = chase_module._derive
+        monkeypatch.setattr(chase_module, "_derive", lambda kb: derived.append(kb) or derive(kb))
         chase_module.is_satisfiable(parsed)
         chase_module.is_satisfiable(built)
-        info = chase_module._model.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert derived == [parsed]
+        assert chase_module._model(built) is chase_module._model(parsed)
 
     def test_the_constructor_keeps_the_atoms_it_is_given(self):
         atoms = frozenset({Atom("A", (individual("a"),))})

@@ -31,7 +31,8 @@ from itertools import islice
 
 import pytest
 
-from sparqlkb.chase import _model, chase, default_bound, saturate
+from sparqlkb import chase as chase_module
+from sparqlkb.chase import default_bound, saturate
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.harness import SizeParams, generate_instances
 from sparqlkb.kb import Atom, KnowledgeBase, Var, individual, parse_kb, serialize_kb
@@ -270,8 +271,8 @@ def test_shuffling_statements(instances):
         rng.shuffle(tbox)
         rng.shuffle(abox)
         moved += (tbox, abox) != order
-        for cache in (saturate, _model, chase):
-            cache.cache_clear()
+        saturate.cache_clear()
+        chase_module._DERIVED.clear()
         return parse_kb("\n".join(["TBOX:", *tbox, "ABOX:", *abox])), q, answers
 
     _check(instances, rewrite)

@@ -1,5 +1,6 @@
 """The six semantics on the worked examples and their structural relations."""
 
+import gc
 import io
 from itertools import islice
 from unittest import mock
@@ -10,10 +11,11 @@ import reference
 import sparqlkb.query
 import sparqlkb.semantics
 from conftest import FIXTURES, TEACHING_QUERY, load_kb, load_query, m, ms, teaching_kb_text
+from sparqlkb import chase as chase_module
 from sparqlkb.chase import ChaseGraph, chase, default_bound
 from sparqlkb.cli import EXIT_OK, EXIT_USAGE, main
 from sparqlkb.errors import QueryShapeError
-from sparqlkb.graph import evaluate, sparql_ans_branch
+from sparqlkb.graph import Rows, evaluate, sparql_ans_branch
 from sparqlkb.harness import SizeParams, _try_semantics, check_requirement, generate_instances
 from sparqlkb.kb import Var, active_domain, parse_kb
 from sparqlkb.query import (
@@ -292,15 +294,22 @@ class TestSlotRowEngine:
 
     def test_the_reference_run_reads_nothing_memoized(self, monkeypatch):
         """`reference.materialized` makes its own evaluations, over the
-        materialized chase, after the engine has memoized its rows."""
+        materialized chase, after the engine has memoized its rows: it
+        never calls the engine's `evaluate_once`."""
         functions = dict(SEMANTICS, **{"mcan-sjo": m_can_ans_sjo})
         sources = []
+        memo_reads = []
 
         def counted(q, source):
             sources.append(source)
             return evaluate(q, source)
 
+        def once(q, cg):
+            memo_reads.append(q)
+            return evaluate_once(q, cg)
+
         monkeypatch.setattr(reference, "evaluate", counted)
+        monkeypatch.setattr(sparqlkb.semantics, "evaluate_once", once)
         checked = 0
         for kb, q in islice(generate_instances(3, SizeParams()), 40):
             for name in self.CHASE_READERS:
@@ -308,19 +317,20 @@ class TestSlotRowEngine:
                     answers = functions[name](q, kb)
                 except QueryShapeError:
                     continue
-                before = evaluate_once.cache_info()
+                assert memo_reads, name
+                memo_reads.clear()
                 sources.clear()
                 assert reference.materialized(functions[name], q, kb)[0] == answers
-                assert evaluate_once.cache_info() == before, name
+                assert memo_reads == [], name
                 assert sources and all(isinstance(s, dict) for s in sources), name
                 checked += 1
         assert checked >= 100
 
 
 class TestSharedEvaluation:
-    """The library functions of the semantics that read the chase share one
-    evaluation of each query over each chase, through `evaluate_once`;
-    `eval` never reaches that memo."""
+    """The semantics that read the chase share one evaluation of each query
+    over each chase, through `evaluate_once`, which keeps it on the chase;
+    `eval` and the library functions read it alike."""
 
     def test_a_check_run_evaluates_each_query_once_per_chase(self, monkeypatch):
         calls = []
@@ -332,7 +342,7 @@ class TestSharedEvaluation:
         monkeypatch.setattr(sparqlkb.semantics, "evaluate", counted)
         covered = set()
         for kb, q in islice(generate_instances(5, SizeParams()), 80):
-            evaluate_once.cache_clear()
+            chase_module._DERIVED.clear()
             _try_semantics.cache_clear()
             calls.clear()
             for name in SEMANTICS:
@@ -349,17 +359,55 @@ class TestSharedEvaluation:
                 covered.add("branch")
         assert {OptQ, UnionQ, "operand", "branch"} <= covered
 
+    def test_the_memos_of_one_kb_are_capped(self):
+        """One KB asked 40 distinct queries at each of 20 depths keeps the
+        chases of the last _CHASES depths, and each chase the answers of
+        the last _ANSWERS queries."""
+        kb = parse_kb("TBOX: A [= exists r . exists inv(r) [= A . ABOX: A(a) . r(a, b) .")
+        queries = [TriplePattern("r", (X, Var(f"y{i}"))) for i in range(40)]
+        expected = [can_ans(q, kb) for q in queries]
+        for depth in range(20):
+            assert [can_ans(q, kb, depth) for q in queries] == expected
+        chases = chase_module._DERIVED[kb][1]
+        assert list(chases) == list(range(20))[-chase_module._CHASES:]
+        for cg in chases.values():
+            assert list(cg.answers) == queries[-chase_module._ANSWERS:]
+
     @pytest.mark.parametrize("name", sorted(SEMANTICS))
-    def test_eval_leaves_the_memo_empty(self, name):
-        evaluate_once.cache_clear()
-        codes = [
-            main(["eval", "--kb", str(FIXTURES / "ex7.kb"), "--query", str(FIXTURES / query),
-                  "--semantics", name], out=io.StringIO())
-            for query in ("ex1.sq", "ex7.sq")
-        ]
+    def test_eval_leaves_nothing_it_derived_alive(self, name, monkeypatch):
+        """`eval` reads ans(q) through `evaluate_once`, as the library does,
+        and what a request derives lives on its KB: once `main` returns,
+        refcounting alone, with the collector off, has freed every model,
+        chase and answer set that the request derived."""
+        models, reads = [], []
+        derive = chase_module._derive
+        monkeypatch.setattr(chase_module, "_derive", lambda kb: models.append(1) or derive(kb))
+        monkeypatch.setattr(
+            sparqlkb.semantics, "evaluate_once", lambda q, cg: reads.append(1) or evaluate_once(q, cg)
+        )
+
+        def alive() -> set[int]:
+            kinds = (ChaseGraph, chase_module._Model, Rows)
+            return {id(o) for o in gc.get_objects() if isinstance(o, kinds)}
+
+        gc.collect()
+        before, entries = alive(), len(chase_module._DERIVED)
+        gc.disable()
+        try:
+            codes = [
+                main(["eval", "--kb", str(FIXTURES / "ex7.kb"), "--query", str(FIXTURES / query),
+                      "--semantics", name], out=io.StringIO())
+                for query in ("ex1.sq", "ex7.sq")
+            ]
+            left = alive() - before
+        finally:
+            gc.enable()
         # certain-ucq rejects the OPT query ex7.sq
         assert codes == [EXIT_OK, EXIT_USAGE if name == "certain-ucq" else EXIT_OK]
-        assert evaluate_once.cache_info().currsize == 0
+        assert bool(models) == (name != "plain")
+        assert bool(reads) == (name in TestSlotRowEngine.CHASE_READERS)
+        assert left == set()
+        assert len(chase_module._DERIVED) == entries
 
 
 def _chased_instances():
