@@ -11,9 +11,10 @@ unary predicates and its edges' roles that the TBox mentions; a witness
 created through role r has one fact, its edge from its parent, so its type
 is closure(∃r⁻).  Both depend on the TBox alone, so each type is derived
 once per saturated TBox and shared by every KB over it.  `_model` derives
-the model once per KB: the entailed ABox, the witness records its named
-types reach, and the consistency verdict; the chase, witness counts,
-satisfiability and the entailed ABox all read it.
+the model once per KB: its saturated TBox, the entailed ABox, the witness
+records its named types reach, and the consistency verdict; the chase, its
+bound, witness counts and satisfiability all read it, and the entailed ABox
+is the depth-0 chase.
 A chase is read on demand: query evaluation walks the type graph from the
 elements a pattern is keyed to, and the chase is unfolded to its bound only
 when it is read whole.
@@ -76,7 +77,7 @@ def _reachable(successors: dict) -> dict:
     return reach
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def saturate(tbox: frozenset) -> SaturatedTBox:
     """The TBox's entailed inclusions as reachability in its inclusion
     digraph, searched from every role expression and basic concept of its
@@ -172,11 +173,12 @@ class _Witness(NamedTuple):
 
 
 class _Model(NamedTuple):
-    """The canonical model of a KB as a finite type graph: the entailed
-    ABox, the witnesses each named individual's type fires, and one record
-    per fired role, keyed by the path segment that names its witnesses.
-    Every reader shares `index`, so a reader that extends it extends a copy."""
+    """The canonical model of a KB as a finite type graph: its saturated TBox,
+    the entailed ABox, the witnesses each named individual's type fires, and
+    one record per fired role, keyed by the path segment that names its
+    witnesses.  Readers share `index`, so one that extends it extends a copy."""
 
+    sat: SaturatedTBox  # the chase bound reads its roles
     index: dict[str, set[tuple[str, ...]]]  # the entailed ABox, by predicate
     fire: dict[str, tuple[str, ...]]  # named individual -> segments its type fires
     witness: dict[str, _Witness]  # path segment -> the witness of its role
@@ -241,6 +243,7 @@ def _derive(kb: KnowledgeBase) -> tuple[_Model, dict]:
     depends on the KB is derived here: the entailed ABox, `witness`, the
     records of every role reachable from the named types through fired
     roles, and `carried` and `consistent`, read off the types reached.
+    The model keeps the saturated TBox, so no other function saturates.
     """
     sat = saturate(kb.tbox)
     facts = kb.encoded.facts
@@ -295,7 +298,7 @@ def _derive(kb: KnowledgeBase) -> tuple[_Model, dict]:
     carried = {a for w in witness.values() for a in w.atomic}
     carried.update(p for w in witness.values() for p, _ in w.edges)
     consistent = not any(typ.clash for typ in reached)
-    found = _DERIVED[kb] = (_Model(index, fire, witness, frozenset(carried), consistent, {}), {})
+    found = _DERIVED[kb] = (_Model(sat, index, fire, witness, frozenset(carried), consistent, {}), {})
     return found
 
 
@@ -384,18 +387,13 @@ class ChaseGraph:
         return found
 
 
-def _consistent(model: _Model) -> _Model:
-    """The model; raises UnsatisfiableKbError if its KB is inconsistent."""
-    if not model.consistent:
-        raise UnsatisfiableKbError("knowledge base is unsatisfiable")
-    return model
-
-
 def chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     """Restricted chase up to the given witness depth; rejects unsat KBs."""
     model, chases = _DERIVED.get(kb) or _derive(kb)
+    if not model.consistent:
+        raise UnsatisfiableKbError("knowledge base is unsatisfiable")
     if bound not in chases:
-        remember(chases, _CHASES, bound, ChaseGraph(_consistent(model), bound))
+        remember(chases, _CHASES, bound, ChaseGraph(model, bound))
     return chases[bound]
 
 
@@ -421,7 +419,7 @@ def model_bound(kb: KnowledgeBase) -> int:
     """Chase depth at which every path of witnesses has repeated a type: a
     witness's type is fixed by the role that created it, and the TBox has
     2·|roles| role expressions."""
-    return 2 * len(saturate(kb.tbox).role_names) + 1
+    return 2 * len(_model(kb).sat.role_names) + 1
 
 
 def default_bound(kb: KnowledgeBase, q: Query) -> int:
@@ -436,5 +434,5 @@ def is_satisfiable(kb: KnowledgeBase) -> bool:
 
 
 def entailed_abox(kb: KnowledgeBase) -> Graph:
-    """All atoms over the active domain entailed by the KB."""
-    return Graph.of_index(_consistent(_model(kb)).index)
+    """All atoms over the active domain entailed by the KB: the depth-0 chase."""
+    return chase(kb, 0).graph

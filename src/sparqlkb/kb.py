@@ -257,7 +257,7 @@ class KnowledgeBase:
     def __eq__(self, other) -> bool:
         if other.__class__ is not KnowledgeBase:
             return NotImplemented
-        return (
+        return self is other or (
             self._hash == other._hash
             and self.tbox == other.tbox
             and self.encoded.facts == other.encoded.facts

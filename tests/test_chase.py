@@ -1,5 +1,6 @@
 """TBox saturation, the deterministic chase, and satisfiability."""
 
+import gc
 import random
 from itertools import chain, combinations, islice, product
 
@@ -7,9 +8,10 @@ import pytest
 
 from conftest import load_kb, load_query, m, ms
 import reference
-from sparqlkb import chase as chase_module
+from sparqlkb import chase as chase_module, kb as kb_module
 from sparqlkb.chase import (
     ChaseGraph,
+    SaturatedTBox,
     chase,
     default_bound,
     entailed_abox,
@@ -35,7 +37,7 @@ from sparqlkb.kb import (
     parse_kb,
 )
 from sparqlkb.graph import evaluate
-from sparqlkb.query import JoinQ, OptQ, TriplePattern, parse_query
+from sparqlkb.query import JoinQ, OptQ, TriplePattern, parse_query, triple_pattern_count
 from sparqlkb.semantics import SEMANTICS, can_ans, er_ans, m_can_ans
 
 
@@ -445,6 +447,48 @@ class TestTypesPerTBox:
                 ), (i, str(other))
                 verdicts.add(model.consistent)
         assert verdicts == {True, False}
+
+
+def _saturated_alive() -> int:
+    """The number of `SaturatedTBox` objects alive after a collection."""
+    gc.collect()
+    return sum(isinstance(o, SaturatedTBox) for o in gc.get_objects())
+
+
+class TestSaturationOnTheModel:
+    """A KB's model keeps its saturated TBox, so every reader of the TBox
+    reads the model, and only the ontologies that requests re-parse keep a
+    saturated TBox once their KBs are dropped."""
+
+    def test_readers_of_a_derived_model_saturate_nothing(self, monkeypatch):
+        instances = list(islice(generate_instances(13, SizeParams()), 60))
+        bounds = [2 * len(saturate(kb.tbox).role_names) + 1 for kb, _ in instances]
+        for kb, _ in instances:
+            chase_module._model(kb)
+        calls = _count_calls(monkeypatch, "saturate")
+        for (kb, q), bound in zip(instances, bounds):
+            assert model_bound(kb) == bound
+            assert default_bound(kb, q) == bound + triple_pattern_count(q)
+            assert is_satisfiable(kb)
+            assert witness_count(kb, bound) == len(_witnesses(chase(kb, bound)))
+            assert entailed_abox(kb).index == chase(kb, 0).graph.index
+        assert calls == []
+
+    def test_dropped_models_keep_no_saturated_tbox_past_the_cache(self):
+        """The models of 40 KBs with pairwise distinct TBoxes, each derived
+        and dropped."""
+        encoded = {}
+        for kb, _ in generate_instances(17, SizeParams()):
+            encoded.setdefault(kb.tbox, kb.encoded)
+            if len(encoded) == 40:
+                break
+        del kb
+        saturate.cache_clear()
+        chase_module._DERIVED.clear()
+        before = _saturated_alive()
+        for tbox, facts in encoded.items():
+            chase_module._model(KnowledgeBase.of_encoded(tbox, facts))
+        assert _saturated_alive() - before <= kb_module._tbox.cache_parameters()["maxsize"]
 
 
 class TestDepthStability:

@@ -291,6 +291,8 @@ def test_every_cache_is_bounded():
             if hasattr(obj, "cache_parameters")
         )
     assert ("sparqlkb.kb", "_tbox", 8) in caches
+    # both keep the ontologies that requests re-parse
+    assert ("sparqlkb.chase", "saturate", 8) in caches
     assert [c for c in caches if c[2] is None] == []
 
 
