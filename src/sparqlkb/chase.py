@@ -401,18 +401,12 @@ def witness_count(kb: KnowledgeBase, bound: int) -> int:
     """The number of witnesses in `chase(kb, bound)`, counted over the
     types without building the chase.  A witness made through r, with d
     levels left to the bound, heads W(r, d) = 1 + Σ W(s, d − 1) witnesses,
-    over the roles s its type fires, and W(r, 0) = 0."""
+    over the roles s its type fires, and W(r, 0) = 0: one pass per level."""
     model = _model(kb)
-    counts: dict[tuple[str, int], int] = {}
-
-    def count(segment: str, d: int) -> int:
-        if d <= 0:
-            return 0
-        if (segment, d) not in counts:
-            counts[segment, d] = 1 + sum(count(s, d - 1) for s in model.witness[segment].fire)
-        return counts[segment, d]
-
-    return sum(count(s, bound) for fire in model.fire.values() for s in fire)
+    heads = dict.fromkeys(model.witness, 0)
+    for _ in range(bound):
+        heads = {r: 1 + sum(heads[s] for s in w.fire) for r, w in model.witness.items()}
+    return sum(heads[s] for fire in model.fire.values() for s in fire)
 
 
 def model_bound(kb: KnowledgeBase) -> int:

@@ -378,6 +378,6 @@ def sparql_ans_branch(q: Query, g: Graph, qb: Query) -> MappingSet:
     """Answers to q obtainable by evaluating one of its branches."""
     if qb not in branch(q):
         raise QueryShapeError("not a branch of the given query")
-    if qb == q:
+    if qb is q:
         return sparql_ans(q, g)
     return sparql_ans(q, g) & sparql_ans(qb, g)

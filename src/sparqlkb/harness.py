@@ -1,15 +1,22 @@
-"""Requirement checks, brute-force oracles, and the instance generator."""
+"""Requirement checks, the brute-force `adm` oracle, the instance generator,
+and differential runs.
+
+A check reads each semantics' answers as slot rows (`semantics.ROWS`), the
+rows that `eval` prints, and states each requirement on them: it builds
+SolutionMappings only for the counterexamples of a failing report.  The
+answer rows of an instance's checks are kept with its KB, as the model and
+its chases are (see chase.py), so they live as long as the KB."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator
+from weakref import WeakKeyDictionary
 
-from .chase import default_bound, is_satisfiable, witness_count
+from .chase import default_bound, is_satisfiable, remember, witness_count
 from .errors import QueryShapeError, SparqlKbError
-from .graph import Graph
+from .graph import Rows, bound_groups, pad, project, to_mappings
 from .kb import (
     Atom,
     BasicConcept,
@@ -18,13 +25,12 @@ from .kb import (
     KnowledgeBase,
     RoleExpr,
     RoleInclusion,
-    Term,
     Var,
     individual,
     parse_kb,
     serialize_kb,
 )
-from .mappings import MappingSet, SolutionMapping, extends, set_extends
+from .mappings import MappingSet, SolutionMapping, set_extends
 from .query import (
     JoinQ,
     OptQ,
@@ -32,14 +38,13 @@ from .query import (
     Select,
     TriplePattern,
     UnionQ,
+    VarSet,
     VarSetFamily,
     is_admissible,
-    is_ucq_shape,
     query_vars,
     serialize_query,
-    union_operands,
 )
-from .semantics import SEMANTICS
+from .semantics import ROWS
 
 
 @dataclass(frozen=True)
@@ -63,15 +68,24 @@ class CheckReport:
         }
 
 
-@lru_cache(maxsize=32)
-def _try_semantics(name: str, q: Query, kb: KnowledgeBase) -> MappingSet | None:
-    """SEMANTICS[name](q, kb), or None where it rejects q's shape.  Each
-    semantics is a pure function of (q, kb), so an instance's checks share its
-    answers on q, q.left and q.right; any other error is raised, not cached."""
-    try:
-        return SEMANTICS[name](q, kb)
-    except QueryShapeError:
-        return None
+# One instance's checks ask for at most the six semantics on q, q.left and
+# q.right: 18 row sets, which the memo of one KB holds before it evicts.
+_ROW_SETS = 18
+_CHECKED: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _rows(name: str, q: Query, kb: KnowledgeBase) -> Rows | None:
+    """ROWS[name](q, kb), or None where it rejects q's shape.  Each semantics
+    is a pure function of (q, kb), so an instance's checks share its answers
+    on q, q.left and q.right, kept with the KB in `_CHECKED` (equal KBs share
+    them); any other error is raised, not kept."""
+    memo = _CHECKED.setdefault(kb, {})
+    if (name, q) not in memo:
+        try:
+            remember(memo, _ROW_SETS, (name, q), ROWS[name](q, kb))
+        except QueryShapeError:
+            remember(memo, _ROW_SETS, (name, q), None)
+    return memo[name, q]
 
 
 def check_requirement(
@@ -79,53 +93,66 @@ def check_requirement(
 ) -> CheckReport:
     """Evaluate one of the five requirements for one semantics on one instance.
 
-    Each requirement is the set of answers that break it (see `_offending`),
-    or None where it does not apply: the verdict is pass if that set is empty,
-    else fail with the set, sorted by bindings, as counterexamples."""
+    Each requirement is the set of answer rows that break it (see
+    `_offending`), or None where it does not apply: the verdict is pass if
+    that set is empty, else fail with the set, as SolutionMappings sorted by
+    bindings, as counterexamples."""
     if req_id not in range(1, 6):
         raise ValueError(f"requirement id must be in 1..5, got {req_id}")
-    answers = _try_semantics(semantics_name, q, kb)
+    answers = _rows(semantics_name, q, kb)
     bad = None if answers is None else _offending(req_id, semantics_name, q, kb, answers)
     if bad is None:
         return CheckReport(req_id, semantics_name, instance, "not-applicable")
-    counterexamples = tuple(sorted(bad, key=lambda w: w.bindings))
-    verdict = "fail" if counterexamples else "pass"
-    return CheckReport(req_id, semantics_name, instance, verdict, counterexamples)
+    found = sorted(to_mappings(bad), key=lambda w: w.bindings) if bad.rows else ()
+    return CheckReport(req_id, semantics_name, instance, "fail" if found else "pass", tuple(found))
+
+
+def _domains(rows: Rows) -> Iterator[tuple[VarSet, set]]:
+    """The rows grouped by domain: each group with the variables it binds."""
+    for bound, group in bound_groups(rows.rows, tuple(range(len(rows.vars)))).items():
+        yield frozenset(Var(rows.vars[i]) for i in bound), group
 
 
 def _offending(
-    req_id: int, name: str, q: Query, kb: KnowledgeBase, answers: MappingSet
-) -> MappingSet | None:
-    """The answers that break requirement `req_id`, or None where it does not
-    apply.  1 and 2: the symmetric difference with the certain answers (UCQs)
-    or the plain answers (empty TBox).  3: the answers of an OPT's left operand
-    that no answer extends.  4: the answers whose domain is not admissible.
-    5: the answers of a UNION that one operand does not give and whose domain
-    the other does not admit."""
+    req_id: int, name: str, q: Query, kb: KnowledgeBase, answers: Rows
+) -> Rows | None:
+    """The answer rows that break requirement `req_id`, or None where it does
+    not apply.  1 and 2: the symmetric difference with the certain answers
+    (UCQs) or the plain answers (empty TBox).  3: the rows of an OPT's left
+    operand that no answer extends: those missing from the answers projected
+    onto their domain.  4: the answers whose domain is not admissible.  5:
+    the answers of a UNION that one operand does not give and whose domain
+    the other does not admit.  Admissibility is decided once per domain."""
     if req_id == 1:
         # certain-ucq rejects exactly the queries that are not UCQ-shaped
-        certain = _try_semantics("certain-ucq", q, kb)
-        return None if certain is None else answers ^ certain
+        certain = _rows("certain-ucq", q, kb)
+        return None if certain is None else Rows(answers.vars, answers.rows ^ certain.rows)
     if req_id == 2:
-        return None if kb.tbox else answers ^ _try_semantics("plain", q, kb)
+        plain = None if kb.tbox else _rows("plain", q, kb)
+        return None if plain is None else Rows(answers.vars, answers.rows ^ plain.rows)
     if req_id == 4:
-        return {w for w in answers if not is_admissible(q, w.domain)}
+        inadmissible = (group for x, group in _domains(answers) if not is_admissible(q, x))
+        return Rows(answers.vars, set().union(*inadmissible))
+    bad: set[tuple] = set()
     if req_id == 3:
-        left = _try_semantics(name, q.left, kb) if isinstance(q, OptQ) else None
-        return None if left is None else {
-            w for w in left if not any(extends(w, w2) for w2 in answers)
-        }
+        left = _rows(name, q.left, kb) if isinstance(q, OptQ) else None
+        if left is None:
+            return None
+        for x, group in _domains(left):
+            extended = project(answers, (v.name for v in x)).rows
+            # a row's values on its domain: a name is never empty
+            bad |= {row for row in group if tuple(filter(None, row)) not in extended}
+        return Rows(left.vars, bad)
     if not isinstance(q, UnionQ):
         return None
-    a1 = _try_semantics(name, q.left, kb)
-    a2 = _try_semantics(name, q.right, kb)
+    a1, a2 = _rows(name, q.left, kb), _rows(name, q.right, kb)
     if a1 is None or a2 is None:
         return None
-    return {
-        w for w in answers
-        if (w not in a2 and not is_admissible(q.left, w.domain))
-        or (w not in a1 and not is_admissible(q.right, w.domain))
-    }
+    rows1, rows2 = pad(a1, answers.vars).rows, pad(a2, answers.vars).rows
+    for x, group in _domains(answers):
+        out1, out2 = not is_admissible(q.left, x), not is_admissible(q.right, x)
+        bad |= {row for row in group if (out1 and row not in rows2) or (out2 and row not in rows1)}
+    return Rows(answers.vars, bad)
 
 
 # --- brute-force oracles ----------------------------------------------------
@@ -152,65 +179,6 @@ def brute_force_adm(q: Query, var_limit: int = 10) -> VarSetFamily:
         return rec(node.left) | rec(node.right)
 
     return frozenset(rec(q))
-
-
-def brute_force_cq_matches(cq: Query, g: Graph) -> MappingSet:
-    """Total-match enumeration for UCQ-shaped queries, by backtracking.
-
-    Enumerates total functions from the body variables to graph terms that
-    satisfy every pattern, then projects onto the distinguished variables.
-    Independent of the compositional evaluator.
-    """
-    if not is_ucq_shape(cq):
-        raise QueryShapeError("oracle requires a UCQ-shaped query")
-
-    out: set[SolutionMapping] = set()
-    for conj in union_operands(cq):
-        if isinstance(conj, Select):
-            distinguished = conj.vars
-            body = conj.body
-        else:
-            distinguished = query_vars(conj)
-            body = conj
-        patterns: list[TriplePattern] = []
-        nodes = [body]
-        while nodes:
-            node = nodes.pop()
-            if isinstance(node, TriplePattern):
-                patterns.append(node)
-            else:
-                nodes.extend((node.left, node.right))
-        patterns.sort(key=lambda p: (p.predicate, str(p.args)))
-
-        def backtrack(idx: int, rho: dict[Var, Term]):
-            if idx == len(patterns):
-                out.add(SolutionMapping.of({v: rho[v] for v in distinguished}))
-                return
-            tp = patterns[idx]
-            for atom in g.by_predicate(tp.predicate):
-                if len(atom.args) != len(tp.args):
-                    continue
-                extension: dict[Var, Term] = {}
-                ok = True
-                for pat_arg, term in zip(tp.args, atom.args):
-                    if isinstance(pat_arg, Var):
-                        bound = rho.get(pat_arg, extension.get(pat_arg))
-                        if bound is None:
-                            extension[pat_arg] = term
-                        elif bound != term:
-                            ok = False
-                            break
-                    elif pat_arg != term:
-                        ok = False
-                        break
-                if ok:
-                    rho.update(extension)
-                    backtrack(idx + 1, rho)
-                    for v in extension:
-                        del rho[v]
-
-        backtrack(0, {})
-    return frozenset(out)
 
 
 # --- instance generation ----------------------------------------------------
@@ -431,8 +399,9 @@ def _relation(o1: MappingSet, o2: MappingSet) -> str:
 def differential(q: Query, kb: KnowledgeBase) -> DifferentialReport:
     """Evaluate every semantics and report pairwise set relations."""
     report = DifferentialReport()
-    for name in SEMANTICS:
-        report.answers[name] = _try_semantics(name, q, kb)
+    for name in ROWS:
+        rows = _rows(name, q, kb)
+        report.answers[name] = None if rows is None else to_mappings(rows)
     names = [n for n, a in report.answers.items() if a is not None]
     for i, n1 in enumerate(names):
         for n2 in names[i + 1 :]:

@@ -181,22 +181,26 @@ def adm(q: Query) -> VarSetFamily:
 
 @lru_cache(maxsize=256)
 def branch(q: Query) -> frozenset[Query]:
-    """The UNION-free queries obtained by picking one operand of each UNION."""
+    """The UNION-free queries obtained by picking one operand of each UNION.
+    A UNION-free query is its own only branch, and that branch is q itself:
+    an operand is UNION-free iff it is one of its own branches."""
     if isinstance(q, TriplePattern):
         return frozenset({q})
     if isinstance(q, Select):
+        bodies = branch(q.body)
+        if q.body in bodies:
+            return frozenset({q})
         # A branch of the body may lack some projected variables (they came
         # from another UNION operand); dropping them from the projection set
         # is a no-op, since no mapping of the branch can bind them.
-        return frozenset(
-            Select(q.vars & query_vars(b), b) for b in branch(q.body)
-        )
+        return frozenset(Select(q.vars & query_vars(b), b) for b in bodies)
     if isinstance(q, UnionQ):
         return branch(q.left) | branch(q.right)
+    lefts, rights = branch(q.left), branch(q.right)
+    if q.left in lefts and q.right in rights:
+        return frozenset({q})
     ctor = JoinQ if isinstance(q, JoinQ) else OptQ
-    return frozenset(
-        ctor(b1, b2) for b1 in branch(q.left) for b2 in branch(q.right)
-    )
+    return frozenset(ctor(b1, b2) for b1 in lefts for b2 in rights)
 
 
 @lru_cache(maxsize=256)

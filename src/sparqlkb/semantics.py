@@ -152,7 +152,7 @@ def m_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     out: set[tuple] = set()
     for qb in branch(q):
         # sparql_ans_branch(q, cg.graph, qb), with q evaluated once
-        if qb == q:
+        if qb is q:
             answers = full
         else:
             branch_rows = pad(evaluate_once(qb, cg), full.vars)

@@ -13,7 +13,11 @@ printer as it ran before it printed slot rows: over SolutionMappings, in
 engine's reachability lookups.
 
 `token_parse_kb` is `parse_kb` as it ran before it scanned the ABox text:
-every statement through `_Tokens`, with the ABox read off the token list."""
+every statement through `_Tokens`, with the ABox read off the token list.
+
+`check_requirement` is the requirement check as it ran on SolutionMappings,
+before it read slot rows, and `brute_force_cq_matches` enumerates a UCQ's
+total matches by backtracking, independent of the compositional evaluator."""
 
 import json
 from typing import NamedTuple
@@ -40,15 +44,20 @@ from sparqlkb.kb import (
     active_domain,
     exists,
 )
-from sparqlkb.mappings import SolutionMapping
+from sparqlkb.harness import CheckReport
+from sparqlkb.mappings import SolutionMapping, extends
 from sparqlkb.query import (
     JoinQ,
     OptQ,
+    Select,
     TriplePattern,
     UnionQ,
     branch,
+    is_admissible,
     is_union_free,
     max_admissible_subsets,
+    query_vars,
+    union_operands,
 )
 from sparqlkb.semantics import is_ucq_shape
 
@@ -216,6 +225,126 @@ SEMANTICS = {
     "mcan": m_can_ans,
     "mcan-sjo": m_can_ans_sjo,
 }
+
+
+# --- requirement checks on SolutionMappings ----------------------------------
+
+
+def _try_semantics(name, q, kb):
+    """SEMANTICS[name](q, kb) of the engine's library functions, or None
+    where it rejects q's shape; evaluated on every call."""
+    try:
+        return sparqlkb.semantics.SEMANTICS[name](q, kb)
+    except QueryShapeError:
+        return None
+
+
+def check_requirement(req_id, semantics_name, q, kb, instance=""):
+    """`harness.check_requirement` as it ran on SolutionMappings: every
+    answer set through the library functions, and requirement 3 by a
+    pairwise `extends` test of each left-operand answer against every
+    answer."""
+    if req_id not in range(1, 6):
+        raise ValueError(f"requirement id must be in 1..5, got {req_id}")
+    answers = _try_semantics(semantics_name, q, kb)
+    bad = None if answers is None else _offending(req_id, semantics_name, q, kb, answers)
+    if bad is None:
+        return CheckReport(req_id, semantics_name, instance, "not-applicable")
+    counterexamples = tuple(sorted(bad, key=lambda w: w.bindings))
+    verdict = "fail" if counterexamples else "pass"
+    return CheckReport(req_id, semantics_name, instance, verdict, counterexamples)
+
+
+def _offending(req_id, name, q, kb, answers):
+    """The answers that break requirement `req_id`, or None where it does not
+    apply.  1 and 2: the symmetric difference with the certain answers (UCQs)
+    or the plain answers (empty TBox).  3: the answers of an OPT's left operand
+    that no answer extends.  4: the answers whose domain is not admissible.
+    5: the answers of a UNION that one operand does not give and whose domain
+    the other does not admit."""
+    if req_id == 1:
+        # certain-ucq rejects exactly the queries that are not UCQ-shaped
+        certain = _try_semantics("certain-ucq", q, kb)
+        return None if certain is None else answers ^ certain
+    if req_id == 2:
+        return None if kb.tbox else answers ^ _try_semantics("plain", q, kb)
+    if req_id == 4:
+        return {w for w in answers if not is_admissible(q, w.domain)}
+    if req_id == 3:
+        left = _try_semantics(name, q.left, kb) if isinstance(q, OptQ) else None
+        return None if left is None else {
+            w for w in left if not any(extends(w, w2) for w2 in answers)
+        }
+    if not isinstance(q, UnionQ):
+        return None
+    a1 = _try_semantics(name, q.left, kb)
+    a2 = _try_semantics(name, q.right, kb)
+    if a1 is None or a2 is None:
+        return None
+    return {
+        w for w in answers
+        if (w not in a2 and not is_admissible(q.left, w.domain))
+        or (w not in a1 and not is_admissible(q.right, w.domain))
+    }
+
+
+def brute_force_cq_matches(cq, g):
+    """Total-match enumeration for UCQ-shaped queries, by backtracking.
+
+    Enumerates total functions from the body variables to graph terms that
+    satisfy every pattern, then projects onto the distinguished variables.
+    Independent of the compositional evaluator.
+    """
+    if not is_ucq_shape(cq):
+        raise QueryShapeError("oracle requires a UCQ-shaped query")
+
+    out = set()
+    for conj in union_operands(cq):
+        if isinstance(conj, Select):
+            distinguished = conj.vars
+            body = conj.body
+        else:
+            distinguished = query_vars(conj)
+            body = conj
+        patterns = []
+        nodes = [body]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, TriplePattern):
+                patterns.append(node)
+            else:
+                nodes.extend((node.left, node.right))
+        patterns.sort(key=lambda p: (p.predicate, str(p.args)))
+
+        def backtrack(idx, rho):
+            if idx == len(patterns):
+                out.add(SolutionMapping.of({v: rho[v] for v in distinguished}))
+                return
+            tp = patterns[idx]
+            for atom in g.by_predicate(tp.predicate):
+                if len(atom.args) != len(tp.args):
+                    continue
+                extension = {}
+                ok = True
+                for pat_arg, term in zip(tp.args, atom.args):
+                    if isinstance(pat_arg, Var):
+                        bound = rho.get(pat_arg, extension.get(pat_arg))
+                        if bound is None:
+                            extension[pat_arg] = term
+                        elif bound != term:
+                            ok = False
+                            break
+                    elif pat_arg != term:
+                        ok = False
+                        break
+                if ok:
+                    rho.update(extension)
+                    backtrack(idx + 1, rho)
+                    for v in extension:
+                        del rho[v]
+
+        backtrack(0, {})
+    return frozenset(out)
 
 
 def materialized(fn, q, kb):

@@ -303,6 +303,28 @@ class TestWitnessCount:
             for d in range(default_bound(kb, q) + 1):
                 assert witness_count(kb, d) == len(_witnesses(chase(kb, d))), (seed, d)
 
+    def test_counting_keeps_no_model_alive(self):
+        """The generator counts each KB's witnesses, and the count holds no
+        reference to the model: once the instances and the stream are
+        dropped, refcounting alone, with the collector off, frees every
+        model."""
+
+        def models() -> set[int]:
+            return {id(o) for o in gc.get_objects() if isinstance(o, chase_module._Model)}
+
+        gc.collect()
+        before = models()
+        gc.disable()
+        try:
+            stream = generate_instances(7, SizeParams())
+            instances = list(islice(stream, 40))
+            assert all(kb in chase_module._DERIVED for kb, _ in instances)
+            del stream, instances
+            left = models() - before
+        finally:
+            gc.enable()
+        assert left == set()
+
 
 # The TBox of the benchmark's branching-chase workload over one A
 # individual: its chase doubles every two levels.

@@ -7,10 +7,11 @@ from itertools import islice
 import pytest
 
 from conftest import load_kb, load_query, m, ms
+from reference import brute_force_cq_matches
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.chase import chase
 from sparqlkb.graph import Graph, evaluate, sparql_ans, sparql_ans_branch
-from sparqlkb.harness import SizeParams, brute_force_cq_matches, generate_instances
+from sparqlkb.harness import SizeParams, generate_instances
 from sparqlkb.kb import Atom, Var, individual, parse_kb
 from sparqlkb.mappings import extends, set_extends
 from sparqlkb.query import (

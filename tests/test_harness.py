@@ -1,27 +1,30 @@
 """Requirement checks, brute-force oracles, generator, and differential runs."""
 
+import gc
 import hashlib
 from collections import Counter
 from itertools import islice
 
 import pytest
 
+import reference
 from conftest import load_kb, load_query, m, ms
+from reference import brute_force_cq_matches
+from sparqlkb import chase as chase_module
 from sparqlkb import harness
 from sparqlkb import query as query_module
+from sparqlkb.chase import ChaseGraph
 from sparqlkb.errors import SparqlKbError, UnsatisfiableKbError
-from sparqlkb.graph import Graph
+from sparqlkb.graph import Graph, Rows
 from sparqlkb.harness import (
     SizeParams,
-    _try_semantics,
     brute_force_adm,
-    brute_force_cq_matches,
     check_requirement,
     describe_instance,
     differential,
     generate_instances,
 )
-from sparqlkb.kb import Var, parse_kb, serialize_kb
+from sparqlkb.kb import KnowledgeBase, Var, parse_kb, serialize_kb
 from sparqlkb.query import (
     JoinQ,
     OptQ,
@@ -30,7 +33,7 @@ from sparqlkb.query import (
     parse_query,
     serialize_query,
 )
-from sparqlkb.semantics import SEMANTICS, is_ucq_shape
+from sparqlkb.semantics import ROWS, SEMANTICS, is_ucq_shape
 
 X, Y = Var("x"), Var("y")
 
@@ -128,14 +131,15 @@ class TestCheckRequirement:
 
 @pytest.fixture
 def clear_memo():
-    _try_semantics.cache_clear()
+    harness._CHECKED.clear()
     yield
-    _try_semantics.cache_clear()
+    harness._CHECKED.clear()
 
 
 @pytest.mark.usefixtures("clear_memo")
 class TestAnswerMemo:
-    """check_requirement evaluates each semantics once per (query, KB)."""
+    """check_requirement evaluates each semantics once per (query, KB), and
+    keeps the rows with the KB."""
 
     @pytest.mark.parametrize(
         ("kb_text", "q_text"),
@@ -157,29 +161,27 @@ class TestAnswerMemo:
 
             return run
 
-        for name, fn in list(SEMANTICS.items()):
-            monkeypatch.setitem(SEMANTICS, name, counting(name, fn))
-        for name in SEMANTICS:
+        for name, fn in list(ROWS.items()):
+            monkeypatch.setitem(ROWS, name, counting(name, fn))
+        for name in ROWS:
             for req_id in range(1, 6):
                 check_requirement(req_id, name, q, kb)
         assert {query for _, query in calls} <= {q, q.left, q.right}
-        assert all(calls[name, q] == 1 for name in SEMANTICS), calls
+        assert all(calls[name, q] == 1 for name in ROWS), calls
         assert max(calls.values()) == 1, calls
 
     @pytest.mark.parametrize("seed", [3, 41])
-    def test_reports_equal_uncached_reports(self, monkeypatch, seed):
+    def test_reports_equal_uncached_reports(self, seed):
         """A report equals the one computed from an emptied memo, and the one
-        computed with no memo at all."""
+        computed with no memo at all, by the SolutionMapping oracle."""
         checks = [(r, name) for name in SEMANTICS for r in range(1, 6)]
         for kb, q in islice(generate_instances(seed, SizeParams()), 150):
             memoized = [check_requirement(r, name, q, kb).to_dict() for r, name in checks]
             fresh = []
             for r, name in checks:
-                _try_semantics.cache_clear()
+                harness._CHECKED.clear()
                 fresh.append(check_requirement(r, name, q, kb).to_dict())
-            with monkeypatch.context() as patch:
-                patch.setattr(harness, "_try_semantics", _try_semantics.__wrapped__)
-                plain = [check_requirement(r, name, q, kb).to_dict() for r, name in checks]
+            plain = [reference.check_requirement(r, name, q, kb).to_dict() for r, name in checks]
             assert memoized == fresh == plain, describe_instance(kb, q)
 
     @pytest.mark.parametrize(("req_id", "name"), [(1, "plain"), (3, "mcan"), (4, "regime")])
@@ -194,6 +196,57 @@ class TestAnswerMemo:
         kb, q = load_kb("ex1.kb"), load_query("ex6.sq")
         verdicts = {check_requirement(r, "certain-ucq", q, kb).verdict for r in range(1, 6)}
         assert verdicts == {"not-applicable"}
+
+    def test_a_check_run_leaves_nothing_it_derived_alive(self):
+        """What a check run derives lives on its KBs: once it drops them,
+        refcounting alone, with the collector off, has freed every KB,
+        model, chase and row set that it derived."""
+        kinds = (KnowledgeBase, chase_module._Model, ChaseGraph, Rows)
+
+        def alive() -> set[int]:
+            return {id(o) for o in gc.get_objects() if isinstance(o, kinds)}
+
+        gc.collect()
+        before = alive()
+        gc.disable()
+        try:
+            stream = generate_instances(7, SizeParams())
+            instances = list(islice(stream, 40))
+            for kb, q in instances:
+                for name in SEMANTICS:
+                    for req_id in range(1, 6):
+                        check_requirement(req_id, name, q, kb)
+            assert len(harness._CHECKED) == 40
+            del stream, instances, kb, q
+            left = alive() - before
+        finally:
+            gc.enable()
+        assert left == set()
+        assert len(harness._CHECKED) == 0
+
+
+class TestRowChecks:
+    """The requirements are checked on slot rows; the SolutionMapping check
+    that ran before (`reference.check_requirement`) is the oracle."""
+
+    def test_reports_equal_the_mapping_oracle(self):
+        verdicts = Counter()
+        unbound = empty_select = 0
+        for seed in (3, 5, 7, 41):
+            for kb, q in islice(generate_instances(seed, SizeParams()), 500):
+                for name in SEMANTICS:
+                    for r in range(1, 6):
+                        report = check_requirement(r, name, q, kb).to_dict()
+                        assert report == reference.check_requirement(r, name, q, kb).to_dict(), (
+                            r, name, describe_instance(kb, q))
+                        verdicts[report["verdict"]] += 1
+                rows = [found for found in harness._CHECKED[kb].values() if found is not None]
+                unbound += any(None in row for found in rows for row in found.rows)
+                empty_select += any(found.vars == () and found.rows for found in rows)
+        assert sum(verdicts.values()) == 2000 * 6 * 5
+        assert verdicts["fail"] >= 200, verdicts
+        # rows with unbound slots, and the one row () of a SELECT{}
+        assert unbound >= 100 and empty_select >= 10, (unbound, empty_select)
 
 
 class TestBruteForceAdm:

@@ -132,6 +132,19 @@ class TestBranch:
     def test_union_free_query_is_its_own_branch(self):
         assert branch(OPT_JOIN) == frozenset({OPT_JOIN})
 
+    def test_a_union_free_query_is_returned_as_its_branch(self):
+        """branch(q) of a UNION-free q holds q itself, not an equal copy, so
+        the semantics match that branch by identity."""
+        checked = 0
+        for seed in (1, 7):
+            for _, q in islice(generate_instances(seed, SizeParams()), 300):
+                if is_union_free(q):
+                    # an equal query asked earlier would be served from the cache
+                    branch.cache_clear()
+                    assert next(iter(branch(q))) is q, serialize_query(q)
+                    checked += 1
+        assert checked >= 300
+
     def test_opt_over_union_splits(self):
         q = OptQ(
             TriplePattern("A", (X,)),

@@ -12,11 +12,12 @@ import sparqlkb.query
 import sparqlkb.semantics
 from conftest import FIXTURES, TEACHING_QUERY, load_kb, load_query, m, ms, teaching_kb_text
 from sparqlkb import chase as chase_module
+from sparqlkb import harness
 from sparqlkb.chase import ChaseGraph, chase, default_bound
 from sparqlkb.cli import EXIT_OK, EXIT_USAGE, main
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.graph import Rows, evaluate, sparql_ans_branch
-from sparqlkb.harness import SizeParams, _try_semantics, check_requirement, generate_instances
+from sparqlkb.harness import SizeParams, check_requirement, generate_instances
 from sparqlkb.kb import Var, active_domain, parse_kb
 from sparqlkb.query import (
     JoinQ,
@@ -343,7 +344,7 @@ class TestSharedEvaluation:
         covered = set()
         for kb, q in islice(generate_instances(5, SizeParams()), 80):
             chase_module._DERIVED.clear()
-            _try_semantics.cache_clear()
+            harness._CHECKED.clear()
             calls.clear()
             for name in SEMANTICS:
                 for req_id in range(1, 6):
