@@ -425,8 +425,3 @@ def is_satisfiable(kb: KnowledgeBase) -> bool:
     """No element of the canonical model may have a type holding two
     concepts declared disjoint."""
     return _model(kb).consistent
-
-
-def entailed_abox(kb: KnowledgeBase) -> Graph:
-    """All atoms over the active domain entailed by the KB: the depth-0 chase."""
-    return chase(kb, 0).graph

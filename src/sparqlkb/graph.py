@@ -34,12 +34,12 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from .errors import QueryShapeError
 from .kb import Atom, Term, Var, term
 from .mappings import MappingSet, SolutionMapping
-from .query import JoinQ, Query, Select, TriplePattern, UnionQ, branch
+from .query import JoinQ, Query, Select, TriplePattern, UnionQ, VarSet, branch
 
 if TYPE_CHECKING:
     from .chase import ChaseGraph
@@ -69,16 +69,6 @@ class Graph:
         return frozenset(
             Atom(p, tuple(map(term, args))) for p, rows in self.index.items() for args in rows
         )
-
-    @cached_property
-    def _by_predicate(self) -> dict[str, list[Atom]]:
-        index: dict[str, list[Atom]] = {}
-        for atom in self.atoms:
-            index.setdefault(atom.predicate, []).append(atom)
-        return index
-
-    def by_predicate(self, predicate: str) -> list[Atom]:
-        return self._by_predicate.get(predicate, [])
 
     def terms(self) -> frozenset[Term]:
         names = {name for rows in self.index.values() for args in rows for name in args}
@@ -164,6 +154,12 @@ def bound_groups(rows: set | frozenset, slots: tuple[int, ...]) -> dict:
     for row in rows:
         groups.setdefault(tuple(compress(slots, pick(row))), set()).add(row)
     return groups
+
+
+def domains(rows: Rows) -> Iterator[tuple[VarSet, set]]:
+    """The rows grouped by domain: each group with the variables it binds."""
+    for bound, group in bound_groups(rows.rows, tuple(range(len(rows.vars)))).items():
+        yield frozenset(Var(rows.vars[i]) for i in bound), group
 
 
 def join(left: Rows, right: Rows) -> Rows:
@@ -378,6 +374,4 @@ def sparql_ans_branch(q: Query, g: Graph, qb: Query) -> MappingSet:
     """Answers to q obtainable by evaluating one of its branches."""
     if qb not in branch(q):
         raise QueryShapeError("not a branch of the given query")
-    if qb is q:
-        return sparql_ans(q, g)
     return sparql_ans(q, g) & sparql_ans(qb, g)

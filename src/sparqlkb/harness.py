@@ -16,7 +16,7 @@ from weakref import WeakKeyDictionary
 
 from .chase import default_bound, is_satisfiable, remember, witness_count
 from .errors import QueryShapeError, SparqlKbError
-from .graph import Rows, bound_groups, pad, project, to_mappings
+from .graph import Rows, domains, pad, project, to_mappings
 from .kb import (
     Atom,
     BasicConcept,
@@ -38,7 +38,6 @@ from .query import (
     Select,
     TriplePattern,
     UnionQ,
-    VarSet,
     VarSetFamily,
     is_admissible,
     query_vars,
@@ -99,18 +98,14 @@ def check_requirement(
     bindings, as counterexamples."""
     if req_id not in range(1, 6):
         raise ValueError(f"requirement id must be in 1..5, got {req_id}")
+    if semantics_name not in ROWS:
+        raise ValueError(f"semantics must be one of {', '.join(ROWS)}, got {semantics_name!r}")
     answers = _rows(semantics_name, q, kb)
     bad = None if answers is None else _offending(req_id, semantics_name, q, kb, answers)
     if bad is None:
         return CheckReport(req_id, semantics_name, instance, "not-applicable")
     found = sorted(to_mappings(bad), key=lambda w: w.bindings) if bad.rows else ()
     return CheckReport(req_id, semantics_name, instance, "fail" if found else "pass", tuple(found))
-
-
-def _domains(rows: Rows) -> Iterator[tuple[VarSet, set]]:
-    """The rows grouped by domain: each group with the variables it binds."""
-    for bound, group in bound_groups(rows.rows, tuple(range(len(rows.vars)))).items():
-        yield frozenset(Var(rows.vars[i]) for i in bound), group
 
 
 def _offending(
@@ -131,14 +126,14 @@ def _offending(
         plain = None if kb.tbox else _rows("plain", q, kb)
         return None if plain is None else Rows(answers.vars, answers.rows ^ plain.rows)
     if req_id == 4:
-        inadmissible = (group for x, group in _domains(answers) if not is_admissible(q, x))
+        inadmissible = (group for x, group in domains(answers) if not is_admissible(q, x))
         return Rows(answers.vars, set().union(*inadmissible))
     bad: set[tuple] = set()
     if req_id == 3:
         left = _rows(name, q.left, kb) if isinstance(q, OptQ) else None
         if left is None:
             return None
-        for x, group in _domains(left):
+        for x, group in domains(left):
             extended = project(answers, (v.name for v in x)).rows
             # a row's values on its domain: a name is never empty
             bad |= {row for row in group if tuple(filter(None, row)) not in extended}
@@ -149,7 +144,7 @@ def _offending(
     if a1 is None or a2 is None:
         return None
     rows1, rows2 = pad(a1, answers.vars).rows, pad(a2, answers.vars).rows
-    for x, group in _domains(answers):
+    for x, group in domains(answers):
         out1, out2 = not is_admissible(q.left, x), not is_admissible(q.right, x)
         bad |= {row for row in group if (out1 and row not in rows2) or (out2 and row not in rows1)}
     return Rows(answers.vars, bad)

@@ -16,8 +16,9 @@ so ⊗ adm(q) leaves it too.  So each semantics that reads the chase finds
 the witness rows first, from the set of values its rows hold, and runs its
 post-ops on those rows alone.
 
-`eval` and the library functions read ans(q) over a chase through one
-path, `evaluate_once`, which keeps it on the chase.
+Every semantics but `plain` reads ans(q) over a chase, the regime over
+the depth-0 chase, through one path, `evaluate_once`, which keeps it on the
+chase; `eval` and the library functions take it alike.
 """
 
 from __future__ import annotations
@@ -25,15 +26,15 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterable
 
-from .chase import _ANSWERS, ChaseGraph, chase, default_bound, entailed_abox, remember
+from .chase import _ANSWERS, ChaseGraph, chase, default_bound, remember
 from .errors import QueryShapeError
-from .kb import KnowledgeBase, Var
+from .kb import KnowledgeBase
 # sparql_ans, sparql_ans_branch, join, diff and adm are unused here; the
 # benchmark tracer looks them up in this module.
 from .graph import (
     Rows,
-    bound_groups,
     diff,
+    domains,
     evaluate,
     join,
     pad,
@@ -78,8 +79,8 @@ def _restrict_domains(rows: Rows, tops: Callable[[VarSet], Iterable[VarSet]]) ->
     """Each row restricted to every variable set that `tops` gives for its
     domain."""
     out: set[tuple] = set()
-    for bound, group in bound_groups(rows.rows, tuple(range(len(rows.vars)))).items():
-        for x in tops(frozenset(Var(rows.vars[i]) for i in bound)):
+    for domain, group in domains(rows):
+        for x in tops(domain):
             kept = project(Rows(rows.vars, group), (v.name for v in x))
             out.update(pad(kept, rows.vars).rows)
     return Rows(rows.vars, out)
@@ -110,10 +111,12 @@ def er_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Entailment-regime answers: certain answers at triple patterns, then
     the standard operator algebra.
 
-    Chase atoms over named individuals are exactly the entailed ABox, so
-    the certain answers to a triple pattern are its matches there.
+    The depth-0 chase holds exactly the atoms over named individuals that
+    the KB entails, the entailed ABox, so the certain answers to a triple
+    pattern are its matches there; q is evaluated over it once, as over
+    any chase.
     """
-    return evaluate(q, entailed_abox(kb).index)
+    return evaluate_once(q, chase(kb, 0))
 
 
 def _chase(q: Query, kb: KnowledgeBase, depth: int | None) -> ChaseGraph:
@@ -151,12 +154,10 @@ def m_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     full = evaluate_once(q, cg)
     out: set[tuple] = set()
     for qb in branch(q):
-        # sparql_ans_branch(q, cg.graph, qb), with q evaluated once
-        if qb is q:
-            answers = full
-        else:
-            branch_rows = pad(evaluate_once(qb, cg), full.vars)
-            answers = Rows(full.vars, full.rows & branch_rows.rows)
+        # sparql_ans_branch(q, cg.graph, qb), with q evaluated once; every
+        # branch by this one rule: for a UNION-free q, qb equals q, so its
+        # rows are a memo hit and the intersection keeps ans(q)
+        answers = Rows(full.vars, full.rows & pad(evaluate_once(qb, cg), full.vars).rows)
         # (Ω ▶ adom) ⊗ adm(qb): ▶ leaves a row without a witness as it is,
         # and its domain, that of a row of ans(qb), is in adm(qb), so ⊗
         # leaves it too.  Inside a witness row's domain the admissible sets
@@ -182,9 +183,9 @@ ROWS = {
 
 
 def evaluate_once(q: Query, cg: ChaseGraph) -> Rows:
-    """evaluate(q, cg), kept in `cg.answers`: the canonical, certain-ucq,
-    restricted and mcan answers all start from ans(q) over the canonical
-    model, and a check run asks for each, and for mcan's branches, on the
+    """evaluate(q, cg), kept in `cg.answers`: the certain-ucq, regime,
+    canonical, restricted and mcan answers all start from ans(q) over a
+    chase, and a check run asks for each, and for mcan's branches, on the
     same (q, KB).  Sharing is exact: `evaluate` is a pure function of
     (q, cg), and no operator or semantics changes a Rows it is given or
     returns (see graph.Rows)."""

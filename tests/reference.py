@@ -24,7 +24,7 @@ from typing import NamedTuple
 from unittest import mock
 
 import sparqlkb.semantics
-from sparqlkb.chase import chase, default_bound, entailed_abox
+from sparqlkb.chase import chase, default_bound
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.graph import Graph, evaluate
 from sparqlkb.kb import (
@@ -136,7 +136,7 @@ def otimes(omega, family):
 
 def _match_pattern(tp, g):
     out = set()
-    for atom in g.by_predicate(tp.predicate):
+    for atom in (a for a in g.atoms if a.predicate == tp.predicate):
         if len(atom.args) != len(tp.args):
             continue
         bindings = {}
@@ -184,7 +184,7 @@ def cert_ans_ucq(q, kb):
 
 
 def er_ans(q, kb):
-    return sparql_ans(q, entailed_abox(kb))
+    return sparql_ans(q, chase(kb, 0).graph)
 
 
 def can_ans(q, kb):
@@ -321,7 +321,7 @@ def brute_force_cq_matches(cq, g):
                 out.add(SolutionMapping.of({v: rho[v] for v in distinguished}))
                 return
             tp = patterns[idx]
-            for atom in g.by_predicate(tp.predicate):
+            for atom in (a for a in g.atoms if a.predicate == tp.predicate):
                 if len(atom.args) != len(tp.args):
                     continue
                 extension = {}

@@ -46,8 +46,8 @@ class TestGraph:
     def test_terms_and_index(self):
         g = _graph("TBOX: ABOX: r(a, b) . A(a) .")
         assert g.terms() == frozenset({individual("a"), individual("b")})
-        assert len(g.by_predicate("r")) == 1
-        assert g.by_predicate("missing") == []
+        assert g.index["r"] == {("a", "b")}
+        assert "missing" not in g.index
 
 
 class TestTriplePatterns:

@@ -52,6 +52,10 @@ class TestCheckRequirement:
         with pytest.raises(ValueError):
             check_requirement(6, "mcan", load_query("ex1.sq"), load_kb("ex1.kb"))
 
+    def test_unknown_semantics_names_the_known_ones(self):
+        with pytest.raises(ValueError, match="plain, certain-ucq, regime, canonical, restricted, mcan"):
+            check_requirement(1, "nope", load_query("ex1.sq"), load_kb("ex1.kb"))
+
     def test_certain_answer_compliance_pass_and_fail(self):
         kb, q = load_kb("ex1.kb"), load_query("ex5.sq")
         assert check_requirement(1, "mcan", q, kb).verdict == "pass"

@@ -61,6 +61,45 @@ def test_summary_counts_failures_per_side():
     assert lines[-1] == "failed: base 0 of 100, change 3 of 100"
 
 
+BOUNDED = [{"name": "throughput_rps", "better": "higher", "bound": 0.25},
+           {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]
+
+
+def _results(base, change):
+    """Canned (base, change) result pairs from (rps, p50) value lists."""
+    pairs = _pairs()
+    return [(pairs.parse_result(_stdout(*b)), pairs.parse_result(_stdout(*c)))
+            for b, c in zip(zip(*base), zip(*change))]
+
+
+def test_verdicts_gain_and_beyond_bound():
+    # the change wins every pair on rps, by more than the base's interquartile
+    # range, and its p50 is 38 % worse
+    results = _results((range(100, 110), range(100, 110)), (range(120, 130), range(140, 150)))
+    assert _pairs().verdicts(results, BOUNDED) == [
+        "throughput_rps: medians -0.1914 of base (positive is worse), bound 0.25: gain",
+        "latency_p50_ms: medians +0.3828 of base (positive is worse), bound 0.25: beyond bound",
+    ]
+
+
+def test_verdicts_unresolved_and_within_bound():
+    # the base's rps quartiles (82.5 and 127.5 around 105) are further apart
+    # than the bound, and the change's runs equal the base's
+    wide = range(60, 160, 10)
+    results = _results((wide, range(100, 110)), (wide, range(107, 117)))
+    assert _pairs().verdicts(results, BOUNDED) == [
+        "throughput_rps: medians +0.0000 of base (positive is worse), bound 0.25: unresolved",
+        "latency_p50_ms: medians +0.0670 of base (positive is worse), bound 0.25: within bound",
+    ]
+
+
+def test_a_change_that_wins_fewer_than_9_in_10_pairs_is_no_gain():
+    pairs = _pairs()
+    assert pairs.verdict([50, 52, 54, 56, 58], [60, 51, 64, 62, 66], "higher", 0.25) == (
+        pytest.approx(-8 / 54), "within bound")
+    assert pairs.verdict([20, 19, 21, 20, 22], [18, 18, 17, 16, 15], "lower", 0.25) == (
+        pytest.approx(-3 / 20), "gain")
+
 
 def _args(base: Path, change: Path) -> list[str]:
     return ["--base", str(base), "--change", str(change), "--workload", "property-corpus",
@@ -127,8 +166,9 @@ def test_every_workload_runs_and_prints_its_own_block(tmp_path, monkeypatch, cap
     every = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     assert ran == [(w, side, 5) for w in every for side in ("a", "b")]
     out = capsys.readouterr().out.splitlines()
-    # one header, then one line pair per metric and the failure line
-    block = 1 + 2 * len(METRICS) + 1
+    # one header, one line pair per metric, the failure line and one
+    # verdict line per metric
+    block = 1 + 2 * len(METRICS) + 1 + len(METRICS)
     assert len(out) == block * len(every)
     assert [out[i * block] for i in range(len(every))] == [f"{w}:" for w in every]
 

@@ -269,7 +269,7 @@ class TestSlotRowEngine:
     engine's own evaluation over the materialized chase, define what it
     must return."""
 
-    CHASE_READERS = {"certain-ucq", "canonical", "restricted", "mcan", "mcan-sjo"}
+    CHASE_READERS = {"certain-ucq", "regime", "canonical", "restricted", "mcan", "mcan-sjo"}
 
     @pytest.mark.parametrize("seed", [3, 11, 17, 23, 31])
     def test_every_semantics_matches_the_reference(self, seed):

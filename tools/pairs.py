@@ -16,8 +16,11 @@ change in odd ones.  Each run's result is the JSON object on the last line
 of its standard output.  Each workload's summary block starts with its name;
 for each end-to-end metric it gives both sides' medians and quartiles, the
 number of pairs the change won (strictly better, in the direction that
-BENCHMARK.json declares) and every pair's two values.  It uses only the
-standard library.
+BENCHMARK.json declares) and every pair's two values.  The block ends with
+one verdict line per metric: the change of the medians as a fraction of the
+base median, signed so that positive means worse, the metric's bound from
+BENCHMARK.json, and the verdict (see `verdict`).  It uses only the standard
+library.
 """
 
 from __future__ import annotations
@@ -74,6 +77,41 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
     return lines
 
 
+def verdict(
+    base: list[float], change: list[float], direction: str, bound: float
+) -> tuple[float, str]:
+    """The change of the medians as a fraction of the base median, positive
+    when worse, and the verdict on the pairs (base[i], change[i]), in order:
+    "gain" when the change won at least 9 in 10 of the pairs and the medians differ
+    by more than the base's interquartile range; "unresolved" when that range
+    is wider than the bound and not every change run beats every base run;
+    "beyond bound" when the change is worse by more than the bound; else
+    "within bound"."""
+    sign = 1 if direction == "higher" else -1
+    (b1, b2, b3), (_, c2, _) = _quartiles(base), _quartiles(change)
+    worse = sign * (b2 - c2) / b2
+    won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    if worse < 0 and 10 * won >= 9 * len(base) and abs(c2 - b2) > b3 - b1:
+        return worse, "gain"
+    separated = all(sign * (c - b) > 0 for b in base for c in change)
+    if (b3 - b1) / b2 > bound and not separated:
+        return worse, "unresolved"
+    return worse, "beyond bound" if worse > bound else "within bound"
+
+
+def verdicts(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
+    """One verdict line per BENCHMARK.json end-to-end metric (a dict with
+    "name", "better" and "bound") for (base, change) result pairs."""
+    lines = []
+    for m in metrics:
+        base = [b["metrics"][m["name"]]["value"] for b, _ in pairs]
+        change = [c["metrics"][m["name"]]["value"] for _, c in pairs]
+        worse, said = verdict(base, change, m["better"], m["bound"])
+        lines.append(f"{m['name']}: medians {worse:+.4f} of base (positive is worse), "
+                     f"bound {m['bound']:g}: {said}")
+    return lines
+
+
 def chosen_workloads(named: list[str] | None, benchmark: dict) -> list[str]:
     """The workloads to run: those named, in order, or else every workload
     of the benchmark declaration."""
@@ -108,7 +146,8 @@ def main(argv=None) -> int:
                        for side, checkout in runs}
             pairs.append((results["base"], results["change"]))
             print(f"{workload}: pair {i + 1} (seed {seed}) done", file=sys.stderr)
-        print("\n".join([f"{workload}:"] + summarize(pairs, better)), flush=True)
+        lines = [f"{workload}:"] + summarize(pairs, better) + verdicts(pairs, benchmark["end_to_end"])
+        print("\n".join(lines), flush=True)
     return 0
 
 
