@@ -26,7 +26,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
-from weakref import WeakKeyDictionary
 
 from .errors import UnsatisfiableKbError
 from .graph import Graph
@@ -221,20 +220,19 @@ def remember(memo: dict, cap: int, key, value) -> None:
 
 
 # Memos live on what they derive from, capped where callers can grow them
-# without end: a TBox's types, each live KB's model and chases by bound (equal
-# KBs share them), and each chase's answers.  Nothing refers back from a model
-# to its chases, so refcounting frees them all once a request drops its KB.
+# without end: a TBox's types, a KB's model and chases by bound (in
+# `kb.derived["chase"]`), and each chase's answers.  Nothing refers back from
+# a model to its chases, so refcounting frees them all with the KB.
 _SIGNATURE_TYPES, _CHASES, _ANSWERS = 512, 8, 16
-_DERIVED: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _model(kb: KnowledgeBase) -> _Model:
     """The model of a KB, derived once per KB (see `_derive`)."""
-    return (_DERIVED.get(kb) or _derive(kb))[0]
+    return (kb.derived.get("chase") or _derive(kb))[0]
 
 
 def _derive(kb: KnowledgeBase) -> tuple[_Model, dict]:
-    """`_DERIVED`'s entry for a KB: its model, from its TBox's types, and no chase.
+    """A KB's `derived["chase"]`: its model, from its TBox's types, and no chase.
 
     An element's type is read off its signature (see `_signature_type`).
     A fact over a predicate the TBox never mentions is in the entailed
@@ -298,7 +296,7 @@ def _derive(kb: KnowledgeBase) -> tuple[_Model, dict]:
     carried = {a for w in witness.values() for a in w.atomic}
     carried.update(p for w in witness.values() for p, _ in w.edges)
     consistent = not any(typ.clash for typ in reached)
-    found = _DERIVED[kb] = (_Model(sat, index, fire, witness, frozenset(carried), consistent, {}), {})
+    found = kb.derived["chase"] = (_Model(sat, index, fire, witness, frozenset(carried), consistent, {}), {})
     return found
 
 
@@ -389,7 +387,7 @@ class ChaseGraph:
 
 def chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     """Restricted chase up to the given witness depth; rejects unsat KBs."""
-    model, chases = _DERIVED.get(kb) or _derive(kb)
+    model, chases = kb.derived.get("chase") or _derive(kb)
     if not model.consistent:
         raise UnsatisfiableKbError("knowledge base is unsatisfiable")
     if bound not in chases:

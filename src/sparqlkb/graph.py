@@ -307,11 +307,9 @@ class _LeftValues:
     __slots__ = ("rows", "outer", "found")
 
     def __init__(self, rows: Rows, outer: Keys):
-        self.rows, self.outer, self.found = rows, outer, None
+        self.rows, self.outer, self.found = rows, outer, {}
 
     def __call__(self, v: str) -> set[str] | None:
-        if self.found is None:
-            self.found = {}
         if v not in self.found:
             values = None
             if v in self.rows.vars:

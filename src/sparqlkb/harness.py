@@ -4,15 +4,14 @@ and differential runs.
 A check reads each semantics' answers as slot rows (`semantics.ROWS`), the
 rows that `eval` prints, and states each requirement on them: it builds
 SolutionMappings only for the counterexamples of a failing report.  The
-answer rows of an instance's checks are kept with its KB, as the model and
-its chases are (see chase.py), so they live as long as the KB."""
+answer rows of an instance's checks are kept in its KB's `derived`, beside
+the model and its chases (see chase.py), so they live as long as the KB."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from typing import Iterator
-from weakref import WeakKeyDictionary
 
 from .chase import default_bound, is_satisfiable, remember, witness_count
 from .errors import QueryShapeError, SparqlKbError
@@ -70,15 +69,14 @@ class CheckReport:
 # One instance's checks ask for at most the six semantics on q, q.left and
 # q.right: 18 row sets, which the memo of one KB holds before it evicts.
 _ROW_SETS = 18
-_CHECKED: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _rows(name: str, q: Query, kb: KnowledgeBase) -> Rows | None:
     """ROWS[name](q, kb), or None where it rejects q's shape.  Each semantics
     is a pure function of (q, kb), so an instance's checks share its answers
-    on q, q.left and q.right, kept with the KB in `_CHECKED` (equal KBs share
-    them); any other error is raised, not kept."""
-    memo = _CHECKED.setdefault(kb, {})
+    on q, q.left and q.right, kept in `kb.derived["checks"]`; any other
+    error is raised, not kept."""
+    memo = kb.derived.setdefault("checks", {})
     if (name, q) not in memo:
         try:
             remember(memo, _ROW_SETS, (name, q), ROWS[name](q, kb))
@@ -191,6 +189,12 @@ class SizeParams:
     individuals: int = 8
     max_triple_patterns: int = 8
     max_nesting: int = 4
+
+    def __post_init__(self):
+        # the pools are sliced by these sizes, so a negative one would slice from the end
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"SizeParams.{name} must be at least 0, got {value}")
 
     def clamped(self) -> "SizeParams":
         return SizeParams(

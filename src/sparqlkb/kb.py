@@ -214,7 +214,9 @@ class KnowledgeBase:
     engine reads; names and Atoms map one to one, so two KBs are equal iff
     their TBoxes and Atom sets are.  The Atoms of `abox` are built on first
     read, unless the constructor was given them.  Like a query node, a KB
-    stores its hash when it is built."""
+    stores its hash when it is built.  `derived` holds what the engine
+    derives from the KB (see chase.py and harness.py), so it lives as long
+    as the KB; it is not part of the KB's value."""
 
     def __init__(self, tbox: frozenset[TBoxAxiom], abox: frozenset[Atom]):
         abox = frozenset(abox)  # the argument itself, if it is a frozenset
@@ -239,7 +241,7 @@ class KnowledgeBase:
 
     def _identify(self, tbox: frozenset[TBoxAxiom], encoded: EncodedAbox) -> None:
         hashed = hash((tbox, frozenset(encoded.facts.items())))
-        self.__dict__.update(tbox=tbox, encoded=encoded, _hash=hashed)
+        self.__dict__.update(tbox=tbox, encoded=encoded, _hash=hashed, derived={})
 
     @cached_property
     def abox(self) -> frozenset[Atom]:
@@ -257,7 +259,7 @@ class KnowledgeBase:
     def __eq__(self, other) -> bool:
         if other.__class__ is not KnowledgeBase:
             return NotImplemented
-        return self is other or (
+        return (
             self._hash == other._hash
             and self.tbox == other.tbox
             and self.encoded.facts == other.encoded.facts

@@ -119,10 +119,9 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def _count_types(monkeypatch) -> list:
-    """Records every type derived from here on, with `saturate`'s cache and
-    every KB's model cleared."""
+    """Records every type derived from here on, with `saturate`'s cache
+    cleared; a KB parsed or built from here on derives its model afresh."""
     saturate.cache_clear()
-    chase_module._DERIVED.clear()
     return _count_calls(monkeypatch, "_type")
 
 
@@ -242,7 +241,6 @@ class TestChase:
     def test_one_build_per_request(self, monkeypatch):
         """A request builds one chase, which a second request on the KB
         reuses; deciding satisfiability builds none."""
-        chase_module._DERIVED.clear()
         built = _count_calls(monkeypatch, "ChaseGraph")
         kb = parse_kb(
             "TBOX: A [= exists r . exists inv(r) [= B . B [= not C . ABOX: A(a) ."
@@ -283,8 +281,7 @@ class TestChase:
     def test_determinism(self):
         kb = load_kb("ex7.kb")
         first = chase(kb, 4)
-        chase_module._DERIVED.clear()
-        second = chase(kb, 4)
+        second = chase(KnowledgeBase.of_encoded(kb.tbox, kb.encoded), 4)
         assert second is not first
         assert first.graph == second.graph
         assert _witnesses(first) == _witnesses(second)
@@ -317,7 +314,7 @@ class TestWitnessCount:
         try:
             stream = generate_instances(7, SizeParams())
             instances = list(islice(stream, 40))
-            assert all(kb in chase_module._DERIVED for kb, _ in instances)
+            assert all("chase" in kb.derived for kb, _ in instances)
             del stream, instances
             left = models() - before
         finally:
@@ -435,7 +432,6 @@ class TestTypesPerTBox:
             KnowledgeBase(tbox, frozenset({Atom("D", (individual("d"),))})),
         ]
         saturate.cache_clear()
-        chase_module._DERIVED.clear()
         verdicts = {i: is_satisfiable(kbs[i]) for i in (first, 1 - first)}
         assert verdicts == {0: False, 1: True}
         assert [chase_module._model(kb).witness.keys() for kb in kbs] == [{"r"}, set()]
@@ -444,7 +440,7 @@ class TestTypesPerTBox:
         """The slow oracle: each generated TBox over its own ABox and the
         next two instances' ABoxes, so that three KBs share its types.  The
         models read with the types the earlier KBs left equal the models
-        derived with `saturate` and every KB's model cleared."""
+        derived on an equal fresh KB with `saturate`'s cache cleared."""
         kbs = [
             kb
             for seed in (3, 7, 606)
@@ -457,12 +453,10 @@ class TestTypesPerTBox:
                 for j in range(3)
             ]
             saturate.cache_clear()
-            chase_module._DERIVED.clear()
             models = [chase_module._model(other) for other in shared]
             for other, model in zip(shared, models):
                 saturate.cache_clear()
-                chase_module._DERIVED.clear()
-                fresh = chase_module._model(other)
+                fresh = chase_module._model(KnowledgeBase.of_encoded(other.tbox, other.encoded))
                 assert (model.carried, model.fire, model.witness, model.consistent) == (
                     fresh.carried, fresh.fire, fresh.witness, fresh.consistent
                 ), (i, str(other))
@@ -505,7 +499,6 @@ class TestSaturationOnTheModel:
                 break
         del kb
         saturate.cache_clear()
-        chase_module._DERIVED.clear()
         before = _saturated_alive()
         for tbox, facts in encoded.items():
             chase_module._model(KnowledgeBase.of_encoded(tbox, facts))

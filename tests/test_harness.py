@@ -133,14 +133,6 @@ class TestCheckRequirement:
         assert verdicts["mcan", "pass"] >= 1
 
 
-@pytest.fixture
-def clear_memo():
-    harness._CHECKED.clear()
-    yield
-    harness._CHECKED.clear()
-
-
-@pytest.mark.usefixtures("clear_memo")
 class TestAnswerMemo:
     """check_requirement evaluates each semantics once per (query, KB), and
     keeps the rows with the KB."""
@@ -176,15 +168,16 @@ class TestAnswerMemo:
 
     @pytest.mark.parametrize("seed", [3, 41])
     def test_reports_equal_uncached_reports(self, seed):
-        """A report equals the one computed from an emptied memo, and the one
-        computed with no memo at all, by the SolutionMapping oracle."""
+        """A report equals the one computed on an equal fresh KB, whose memo
+        is empty, and the one computed with no memo at all, by the
+        SolutionMapping oracle."""
         checks = [(r, name) for name in SEMANTICS for r in range(1, 6)]
         for kb, q in islice(generate_instances(seed, SizeParams()), 150):
             memoized = [check_requirement(r, name, q, kb).to_dict() for r, name in checks]
             fresh = []
             for r, name in checks:
-                harness._CHECKED.clear()
-                fresh.append(check_requirement(r, name, q, kb).to_dict())
+                cold = KnowledgeBase.of_encoded(kb.tbox, kb.encoded)
+                fresh.append(check_requirement(r, name, q, cold).to_dict())
             plain = [reference.check_requirement(r, name, q, kb).to_dict() for r, name in checks]
             assert memoized == fresh == plain, describe_instance(kb, q)
 
@@ -220,13 +213,11 @@ class TestAnswerMemo:
                 for name in SEMANTICS:
                     for req_id in range(1, 6):
                         check_requirement(req_id, name, q, kb)
-            assert len(harness._CHECKED) == 40
             del stream, instances, kb, q
             left = alive() - before
         finally:
             gc.enable()
         assert left == set()
-        assert len(harness._CHECKED) == 0
 
 
 class TestRowChecks:
@@ -244,7 +235,7 @@ class TestRowChecks:
                         assert report == reference.check_requirement(r, name, q, kb).to_dict(), (
                             r, name, describe_instance(kb, q))
                         verdicts[report["verdict"]] += 1
-                rows = [found for found in harness._CHECKED[kb].values() if found is not None]
+                rows = [found for found in kb.derived["checks"].values() if found is not None]
                 unbound += any(None in row for found in rows for row in found.rows)
                 empty_select += any(found.vars == () and found.rows for found in rows)
         assert sum(verdicts.values()) == 2000 * 6 * 5
@@ -304,6 +295,16 @@ class TestGenerator:
 
         for _, q in islice(generate_instances(17, SizeParams(), jo_only=True), 40):
             assert is_jo(q)
+
+    @pytest.mark.parametrize(
+        "field", ["concepts", "roles", "individuals", "max_triple_patterns", "max_nesting"]
+    )
+    def test_a_negative_size_is_refused(self, field):
+        """A size slices a pool, so a negative one would draw from the
+        pool's end; zero draws from none."""
+        with pytest.raises(ValueError, match=f"SizeParams.{field} "):
+            SizeParams(**{field: -1})
+        next(generate_instances(1, SizeParams(**{field: 0})))
 
     def test_stream_contains_ucq_shapes(self):
         shapes = [

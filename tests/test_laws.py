@@ -31,7 +31,6 @@ from itertools import islice
 
 import pytest
 
-from sparqlkb import chase as chase_module
 from sparqlkb.chase import default_bound, saturate
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.harness import SizeParams, generate_instances
@@ -256,9 +255,9 @@ def test_renaming_individuals(instances):
 
 
 def test_shuffling_statements(instances):
-    """The shuffled text parses to a KB equal to the original, so the
-    caches keyed by KB or TBox are emptied first: the answers must come
-    from the shuffled KB itself."""
+    """The shuffled text parses to a fresh KB equal to the original, which
+    derives its own model, and the cache keyed by TBox is emptied first:
+    the answers must come from the shuffled KB itself."""
 
     moved = 0
 
@@ -272,7 +271,6 @@ def test_shuffling_statements(instances):
         rng.shuffle(abox)
         moved += (tbox, abox) != order
         saturate.cache_clear()
-        chase_module._DERIVED.clear()
         return parse_kb("\n".join(["TBOX:", *tbox, "ABOX:", *abox])), q, answers
 
     _check(instances, rewrite)

@@ -12,13 +12,12 @@ import sparqlkb.query
 import sparqlkb.semantics
 from conftest import FIXTURES, TEACHING_QUERY, load_kb, load_query, m, ms, teaching_kb_text
 from sparqlkb import chase as chase_module
-from sparqlkb import harness
 from sparqlkb.chase import ChaseGraph, chase, default_bound
 from sparqlkb.cli import EXIT_OK, EXIT_USAGE, main
 from sparqlkb.errors import QueryShapeError
 from sparqlkb.graph import Rows, evaluate, sparql_ans_branch
 from sparqlkb.harness import SizeParams, check_requirement, generate_instances
-from sparqlkb.kb import Var, active_domain, parse_kb
+from sparqlkb.kb import KnowledgeBase, Var, active_domain, parse_kb
 from sparqlkb.query import (
     JoinQ,
     OptQ,
@@ -343,8 +342,7 @@ class TestSharedEvaluation:
         monkeypatch.setattr(sparqlkb.semantics, "evaluate", counted)
         covered = set()
         for kb, q in islice(generate_instances(5, SizeParams()), 80):
-            chase_module._DERIVED.clear()
-            harness._CHECKED.clear()
+            kb = KnowledgeBase.of_encoded(kb.tbox, kb.encoded)
             calls.clear()
             for name in SEMANTICS:
                 for req_id in range(1, 6):
@@ -369,7 +367,7 @@ class TestSharedEvaluation:
         expected = [can_ans(q, kb) for q in queries]
         for depth in range(20):
             assert [can_ans(q, kb, depth) for q in queries] == expected
-        chases = chase_module._DERIVED[kb][1]
+        chases = kb.derived["chase"][1]
         assert list(chases) == list(range(20))[-chase_module._CHASES:]
         for cg in chases.values():
             assert list(cg.answers) == queries[-chase_module._ANSWERS:]
@@ -392,7 +390,7 @@ class TestSharedEvaluation:
             return {id(o) for o in gc.get_objects() if isinstance(o, kinds)}
 
         gc.collect()
-        before, entries = alive(), len(chase_module._DERIVED)
+        before = alive()
         gc.disable()
         try:
             codes = [
@@ -408,7 +406,6 @@ class TestSharedEvaluation:
         assert bool(models) == (name != "plain")
         assert bool(reads) == (name in TestSlotRowEngine.CHASE_READERS)
         assert left == set()
-        assert len(chase_module._DERIVED) == entries
 
 
 def _chased_instances():

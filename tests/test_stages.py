@@ -1,5 +1,6 @@
-"""tools/stages.py's per-stage summary, on canned times, and one staged
-request of each eval workload, which prints what `sparqlkb eval` prints."""
+"""tools/stages.py's per-stage summary, on canned times, one staged
+request of each eval workload, which prints what `sparqlkb eval` prints, and
+the timed check run of property-corpus."""
 
 import importlib.util
 import random
@@ -61,4 +62,16 @@ def test_workload_runs_only_the_workloads_named(capsys):
              if not line.startswith(" ")]
     assert heads == ["nested-opt", "teaching-opt"]
     with pytest.raises(SystemExit):
-        stages.main(["--workload", "property-corpus"])
+        stages.main(["--workload", "no-such-workload"])
+
+
+def test_property_corpus_times_the_check_run(capsys):
+    """Each request's one stage is its batch's check run, and the batch's
+    reports pass the workload's oracle."""
+    stages = _stages()
+    workload = stages.load_workloads()["property-corpus"]
+    times = stages.measure(sparqlkb, workload, requests=2, seed=1)
+    assert len(times) == 2 and all(len(row) == 1 and row[0] > 0 for row in times)
+    assert stages.main(["--requests", "1", "--workload", "property-corpus"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["property-corpus:", "check"]

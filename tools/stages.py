@@ -1,4 +1,4 @@
-"""Per-stage in-process times of the benchmark's three eval workloads.
+"""Per-stage in-process times of the benchmark's workloads.
 
 Run from anywhere:
 
@@ -9,12 +9,15 @@ which this script does not change), the script writes --requests fresh
 requests through the workload, runs each as ``sparqlkb eval`` runs it, one
 stage at a time, and times every stage with ``time.perf_counter``: argparse,
 file read, parse_kb, parse_query, _model (the chase's model of the KB, which
-the semantics then reads from its cache), semantics and print.  One untimed
-request runs first.  Every answer is checked with the workload's oracle.
-For each workload it prints the mean time of each stage and its share of
-the request.  --workload, which may be repeated, runs only the workloads
-named, in the order given; by default all three run.  The package is
-imported from this checkout's src/.  It uses only the standard library.
+the semantics then reads from its cache), semantics and print.  For
+property-corpus it draws and filters each request's batch of instances
+untimed, through the workload's own ``prepare``, and times the check run
+alone.  One untimed request runs first.  Every answer is checked with the
+workload's oracle.  For each workload it prints the mean time of each stage
+and its share of the request.  --workload, which may be repeated, runs only
+the workloads named, in the order given; by default the three eval
+workloads run.  The package is imported from this checkout's src/.  It uses
+only the standard library.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("argparse", "file read", "parse_kb", "parse_query", "_model", "semantics", "print")
+CHECK_STAGES = ("check run",)
 EVAL_WORKLOADS = ("teaching-opt", "branching-chase", "nested-opt")
+WORKLOADS = EVAL_WORKLOADS + ("property-corpus",)
 
 
 def load_workloads() -> dict:
@@ -78,16 +83,29 @@ def run_staged(sparqlkb, workload) -> tuple[list[float], str]:
     return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5, t7 - t6], out.getvalue()
 
 
+def run_checks(sparqlkb, workload) -> tuple[list[float], list]:
+    """The seconds the check run of the workload's prepared batch took, and
+    its reports."""
+    start = time.perf_counter()
+    reports = workload.run(sparqlkb)
+    return [time.perf_counter() - start], reports
+
+
 def measure(sparqlkb, workload_class, requests: int, seed: int) -> list[list[float]]:
     """Each timed request's stage times; raises if an answer is wrong."""
     with tempfile.TemporaryDirectory() as workdir:
         workload = workload_class(Path(workdir))
+        workload.start(sparqlkb, seed)
         rng = random.Random(seed)
         times = []
         for i in range(requests + 1):
             expected = workload.prepare(rng)
-            stage_times, printed = run_staged(sparqlkb, workload)
-            if not workload.check(expected, (0, printed)):
+            if workload.name in EVAL_WORKLOADS:
+                stage_times, printed = run_staged(sparqlkb, workload)
+                outcome = (0, printed)
+            else:
+                stage_times, outcome = run_checks(sparqlkb, workload)
+            if not workload.check(expected, outcome):
                 raise SystemExit(f"{workload.name}: request {i} printed a wrong answer")
             if i:  # the first request warms up
                 times.append(stage_times)
@@ -96,10 +114,11 @@ def measure(sparqlkb, workload_class, requests: int, seed: int) -> list[list[flo
 
 def summarize(name: str, times: list[list[float]]) -> list[str]:
     """One line for the workload's mean request, one per stage."""
+    stages = STAGES if name in EVAL_WORKLOADS else CHECK_STAGES
     means = [sum(column) / len(times) * 1e3 for column in zip(*times)]
     total = sum(means)
     lines = [f"{name}: {total:.3f} ms per request (mean of {len(times)})"]
-    lines += [f"  {stage:<12}{ms:8.3f} ms {ms / total:6.1%}" for stage, ms in zip(STAGES, means)]
+    lines += [f"  {stage:<12}{ms:8.3f} ms {ms / total:6.1%}" for stage, ms in zip(stages, means)]
     return lines
 
 
@@ -107,7 +126,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--requests", type=int, default=300)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workload", action="append", choices=EVAL_WORKLOADS)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
     args = parser.parse_args(argv)
     sparqlkb = import_sparqlkb()
     workloads = load_workloads()
