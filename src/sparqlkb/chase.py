@@ -387,6 +387,8 @@ class ChaseGraph:
 
 def chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     """Restricted chase up to the given witness depth; rejects unsat KBs."""
+    if bound < 0:
+        raise ValueError(f"chase bound must be at least 0, got {bound}")
     model, chases = kb.derived.get("chase") or _derive(kb)
     if not model.consistent:
         raise UnsatisfiableKbError("knowledge base is unsatisfiable")
@@ -400,6 +402,8 @@ def witness_count(kb: KnowledgeBase, bound: int) -> int:
     types without building the chase.  A witness made through r, with d
     levels left to the bound, heads W(r, d) = 1 + Σ W(s, d − 1) witnesses,
     over the roles s its type fires, and W(r, 0) = 0: one pass per level."""
+    if bound < 0:
+        raise ValueError(f"chase bound must be at least 0, got {bound}")
     model = _model(kb)
     heads = dict.fromkeys(model.witness, 0)
     for _ in range(bound):

@@ -32,7 +32,7 @@ from .query import (
     query_vars,
     serialize_query,
 )
-from .semantics import ROWS, SEMANTICS
+from .semantics import ROWS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,7 +103,7 @@ def _cmd_check(args, out) -> int:
     kb = _load_kb(args.kb)
     q = _load_query(args.query)
     req_ids = args.requirements or [1, 2, 3, 4, 5]
-    semantics = list(SEMANTICS) if args.all_semantics else ["mcan"]
+    semantics = list(ROWS) if args.all_semantics else ["mcan"]
     instance = f"{args.kb}:{args.query}"
     any_fail = False
     for name in semantics:
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a query under one semantics")
     p_eval.add_argument("--kb", required=True)
     p_eval.add_argument("--query", required=True)
-    p_eval.add_argument("--semantics", required=True, choices=sorted(SEMANTICS))
+    p_eval.add_argument("--semantics", required=True, choices=sorted(ROWS))
     p_eval.add_argument("--depth", type=_count, default=None)
     p_eval.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p_eval.set_defaults(fn=_cmd_eval)

@@ -191,10 +191,11 @@ class SizeParams:
     max_nesting: int = 4
 
     def __post_init__(self):
-        # the pools are sliced by these sizes, so a negative one would slice from the end
+        # the pools are sliced by these sizes, so a negative one would slice from the
+        # end, and one that is not an integer cannot slice them
         for name, value in vars(self).items():
-            if value < 0:
-                raise ValueError(f"SizeParams.{name} must be at least 0, got {value}")
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"SizeParams.{name} must be an integer >= 0, got {value}")
 
     def clamped(self) -> "SizeParams":
         return SizeParams(

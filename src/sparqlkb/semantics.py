@@ -1,13 +1,15 @@
 """The six answer semantics, each a pure function of (query, KB).
 
 Each is defined once, as a function that returns the engine's slot rows
-(see graph.py).  `eval` prints those rows; only the library functions
-(`plain_ans`, ..., `SEMANTICS`) build SolutionMappings from them.  Besides
-graph.py's ⋈, ∖, ∪ and π, the semantics use operators of their own,
-defined below on slot rows: Ω ▷ B keeps the rows that range inside the term
-set B, Ω ▶ B unbinds every value outside B, and `otimes` is the general
-Ω ⊗ 𝒳.  `mcan` unbinds each domain group of a branch's rows to the largest
-admissible subset of the domain, read off base: that is ⊗ adm(branch).
+(see graph.py), and `ROWS` is the one table of the six: `eval` prints their
+rows, `check` reads them, and the library table `SEMANTICS` wraps each row
+function, in `ROWS` order, as the library function (`plain_ans`, ...) that
+alone builds SolutionMappings from them.  Besides graph.py's ⋈, ∖, ∪ and π,
+the semantics use operators of their own, defined below on slot rows:
+Ω ▷ B keeps the rows that range inside the term set B, Ω ▶ B unbinds every
+value outside B, and `otimes` is the general Ω ⊗ 𝒳.  `mcan` unbinds each
+domain group of a branch's rows to the largest admissible subset of the
+domain, read off base: that is ⊗ adm(branch).
 
 Over the chase, ▷, ▶ and ⊗ change only the rows that hold a witness, a
 value outside the active domain.  ▶ leaves every other row as it is, and
@@ -100,7 +102,7 @@ def plain_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     return evaluate(q, kb.encoded.facts)
 
 
-def cert_ucq_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
+def cert_rows_ucq(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Certain answers, via the canonical-model characterization; UCQs only."""
     if not is_ucq_shape(q):
         raise QueryShapeError("certain-answer semantics requires a UCQ-shaped query")
@@ -141,7 +143,7 @@ def rest_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows
     return Rows(answers.vars, answers.rows - held | restricted.rows)
 
 
-def m_can_sjo_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
+def m_can_rows_sjo(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
     """Maximal admissible canonical answers for UNION-free queries."""
     if not is_union_free(q):
         raise QueryShapeError("SJO semantics requires a UNION-free query")
@@ -173,13 +175,15 @@ def m_can_rows(q: Query, kb: KnowledgeBase, depth: int | None = None) -> Rows:
 
 ROWS = {
     "plain": plain_rows,
-    "certain-ucq": cert_ucq_rows,
+    "certain-ucq": cert_rows_ucq,
     "regime": er_rows,
     "canonical": can_rows,
     "restricted": rest_can_rows,
     "mcan": m_can_rows,
 }
-"""Each semantics by name, as slot rows; `eval` prints these."""
+"""The one table of the six semantics, by name, as slot rows: `eval`
+prints these and `check` reads them; `SEMANTICS` and the CLI's choices are
+built from it."""
 
 
 def evaluate_once(q: Query, cg: ChaseGraph) -> Rows:
@@ -194,30 +198,20 @@ def evaluate_once(q: Query, cg: ChaseGraph) -> Rows:
     return cg.answers[q]
 
 
-def _public(rows: Callable[..., Rows], name: str) -> Callable[..., MappingSet]:
-    """The library form of a row semantics: its answers as SolutionMappings."""
+def _public(rows: Callable[..., Rows]) -> Callable[..., MappingSet]:
+    """The library form of a row semantics: its answers as SolutionMappings,
+    named as the row function with `_ans` for `_rows`."""
 
     def answers(q: Query, kb: KnowledgeBase, depth: int | None = None) -> MappingSet:
         return to_mappings(rows(q, kb, depth))
 
-    answers.__name__ = answers.__qualname__ = name
+    answers.__name__ = answers.__qualname__ = rows.__name__.replace("_rows", "_ans")
     answers.__doc__ = rows.__doc__
     return answers
 
 
-plain_ans = _public(plain_rows, "plain_ans")
-cert_ans_ucq = _public(cert_ucq_rows, "cert_ans_ucq")
-er_ans = _public(er_rows, "er_ans")
-can_ans = _public(can_rows, "can_ans")
-rest_can_ans = _public(rest_can_rows, "rest_can_ans")
-m_can_ans = _public(m_can_rows, "m_can_ans")
-m_can_ans_sjo = _public(m_can_sjo_rows, "m_can_ans_sjo")
+SEMANTICS = {name: _public(rows) for name, rows in ROWS.items()}
+"""Each semantics by name, in `ROWS` order, as a library function."""
 
-SEMANTICS = {
-    "plain": plain_ans,
-    "certain-ucq": cert_ans_ucq,
-    "regime": er_ans,
-    "canonical": can_ans,
-    "restricted": rest_can_ans,
-    "mcan": m_can_ans,
-}
+plain_ans, cert_ans_ucq, er_ans, can_ans, rest_can_ans, m_can_ans = SEMANTICS.values()
+m_can_ans_sjo = _public(m_can_rows_sjo)

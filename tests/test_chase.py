@@ -156,6 +156,16 @@ class TestClosure:
 
 
 class TestChase:
+    def test_a_negative_bound_is_refused(self):
+        """A negative bound would read as bound 0 under a memo entry of its
+        own."""
+        kb = parse_kb("TBOX: A [= exists r . ABOX: A(a) .")
+        q = parse_query("SELECT{x}( r(?x, ?y) )")
+        for read in (chase, witness_count, lambda kb, bound: can_ans(q, kb, bound)):
+            with pytest.raises(ValueError, match="bound must be at least 0, got -1"):
+                read(kb, -1)
+        assert can_ans(q, kb, 0) == ms() and can_ans(q, kb) == ms(m(x="a"))
+
     def test_single_existential_step(self):
         cg = chase(load_kb("ex1.kb"), 1)
         assert sorted(str(a) for a in cg.graph) == [
@@ -602,6 +612,35 @@ class TestAnchoredChains:
                     assert (lazy.vars, lazy.rows) == (full.vars, full.rows), (cg.bound, steps)
                     checked += 1
         assert checked == 1364 * 5
+
+
+class TestMatchPerElement:
+    """`match` from one element equals the atoms of the unfolded `graph`
+    with that element at the position asked, for every element, predicate
+    and position, at bounds 0 to 4: on 300 generated KBs, on `BRANCHING`
+    with r(a, b) added, and on the two-role cycle KB of
+    `TestDepthStability`.  Like `TestAnchoredChains`, it pins the reading
+    bounded by the chase's depth."""
+
+    def test_equals_the_unfold(self):
+        a, b = individual("a"), individual("b")
+        kbs = [kb for kb, _ in islice(generate_instances(29, SizeParams()), 300)]
+        kbs.append(KnowledgeBase(BRANCHING.tbox, BRANCHING.abox | {Atom("r", (a, b))}))
+        kbs.append(parse_kb(
+            "TBOX: exists inv(r) [= exists s . exists inv(s) [= exists r . ABOX: r(a, b) ."))
+        checked = 0
+        for kb in kbs:
+            for bound in range(5):
+                cg = chase(kb, bound)
+                index = cg.graph.index
+                elements = {v for rows in index.values() for row in rows for v in row}
+                for p, rows in index.items():
+                    for pos in range(len(next(iter(rows)))):
+                        for v in elements:
+                            expected = sorted(row for row in rows if row[pos] == v)
+                            assert sorted(cg.match(p, pos, [v])) == expected, (bound, p, pos, v)
+                            checked += 1
+        assert checked == 44_450
 
 
 class TestDefaultBound:

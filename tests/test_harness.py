@@ -301,9 +301,11 @@ class TestGenerator:
     )
     def test_a_negative_size_is_refused(self, field):
         """A size slices a pool, so a negative one would draw from the
-        pool's end; zero draws from none."""
-        with pytest.raises(ValueError, match=f"SizeParams.{field} "):
-            SizeParams(**{field: -1})
+        pool's end and one that is not an integer cannot slice it; zero
+        draws from none."""
+        for size in (-1, 2.5):
+            with pytest.raises(ValueError, match=f"SizeParams.{field} "):
+                SizeParams(**{field: size})
         next(generate_instances(1, SizeParams(**{field: 0})))
 
     def test_stream_contains_ucq_shapes(self):

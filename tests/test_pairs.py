@@ -118,6 +118,19 @@ def test_checkouts_whose_paths_differ_in_length_are_refused(tmp_path, monkeypatc
     assert refused.value.code != 0 and ran == []
 
 
+def test_a_count_of_pairs_below_one_is_refused(tmp_path, monkeypatch, capsys):
+    pairs = _pairs()
+    base, change = tmp_path / "a", tmp_path / "b"
+    base.mkdir()
+    change.mkdir()
+    ran = []
+    monkeypatch.setattr(pairs, "run_once", lambda *args: ran.append(args))
+    with pytest.raises(SystemExit) as refused:
+        pairs.main(_args(base, change)[:-1] + ["0"])
+    assert refused.value.code == 2 and ran == []
+    assert "--pairs must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_checkouts_whose_paths_have_equal_length_run(tmp_path, monkeypatch, capsys):
     pairs = _pairs()
     base, change = tmp_path / "a", tmp_path / "b"

@@ -1,8 +1,9 @@
 """The six semantics on the worked examples and their structural relations."""
 
+import argparse
 import gc
 import io
-from itertools import islice
+from itertools import islice, product
 from unittest import mock
 
 import pytest
@@ -13,9 +14,9 @@ import sparqlkb.semantics
 from conftest import FIXTURES, TEACHING_QUERY, load_kb, load_query, m, ms, teaching_kb_text
 from sparqlkb import chase as chase_module
 from sparqlkb.chase import ChaseGraph, chase, default_bound
-from sparqlkb.cli import EXIT_OK, EXIT_USAGE, main
+from sparqlkb.cli import EXIT_OK, EXIT_USAGE, build_parser, main
 from sparqlkb.errors import QueryShapeError
-from sparqlkb.graph import Rows, evaluate, sparql_ans_branch
+from sparqlkb.graph import Rows, evaluate, sparql_ans_branch, to_mappings
 from sparqlkb.harness import SizeParams, check_requirement, generate_instances
 from sparqlkb.kb import KnowledgeBase, Var, active_domain, parse_kb
 from sparqlkb.query import (
@@ -114,6 +115,50 @@ class TestWorkedExamples:
         kb, q = load_kb("ex7.kb"), load_query("ex7.sq")
         assert rest_can_ans(q, kb) == ms(m(x="Alice", z="Alice"))
         assert m_can_ans(q, kb) == ms(m(x="Alice"))
+
+
+class TestLibraryTable:
+    """`SEMANTICS` is a view of `ROWS`: in `ROWS` order, each value is the
+    module-level library function of its name, answering as its row
+    function does, and the CLI offers the names of `ROWS`."""
+
+    PUBLIC = {
+        "plain": plain_ans,
+        "certain-ucq": cert_ans_ucq,
+        "regime": er_ans,
+        "canonical": can_ans,
+        "restricted": rest_can_ans,
+        "mcan": m_can_ans,
+    }
+
+    def test_each_value_is_the_library_function_of_its_name(self):
+        assert list(SEMANTICS) == list(ROWS) == list(self.PUBLIC)
+        for name, fn in SEMANTICS.items():
+            assert fn is self.PUBLIC[name], name
+            assert getattr(sparqlkb.semantics, fn.__name__) is fn, name
+            assert (fn.__qualname__, fn.__doc__) == (fn.__name__, ROWS[name].__doc__), name
+        assert m_can_ans_sjo.__name__ == "m_can_ans_sjo"
+        assert m_can_ans_sjo not in SEMANTICS.values()
+
+    def test_each_value_answers_as_its_row_function(self):
+        checked = 0
+        for kb_path, q_path in product(sorted(FIXTURES.glob("*.kb")), sorted(FIXTURES.glob("*.sq"))):
+            kb, q = load_kb(kb_path.name), load_query(q_path.name)
+            for name, rows in ROWS.items():
+                try:
+                    expected = to_mappings(rows(q, kb))
+                except QueryShapeError:
+                    with pytest.raises(QueryShapeError):
+                        SEMANTICS[name](q, kb)
+                    continue
+                assert SEMANTICS[name](q, kb) == expected, (name, kb_path.name, q_path.name)
+                checked += 1
+        assert checked == 190
+
+    def test_the_cli_offers_the_names_of_rows(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        option = next(a for a in sub.choices["eval"]._actions if a.dest == "semantics")
+        assert option.choices == sorted(ROWS)
 
 
 class TestShapeGuards:

@@ -65,6 +65,16 @@ def test_workload_runs_only_the_workloads_named(capsys):
         stages.main(["--workload", "no-such-workload"])
 
 
+@pytest.mark.parametrize("requests", ["0", "-1"])
+def test_a_count_of_requests_below_one_is_refused(requests, capsys):
+    stages = _stages()
+    with pytest.raises(SystemExit) as refused:
+        stages.main(["--requests", requests, "--workload", "nested-opt"])
+    assert refused.value.code == 2
+    assert f"--requests must be at least 1, got {requests}" in (
+        capsys.readouterr().err)
+
+
 def test_property_corpus_times_the_check_run(capsys):
     """Each request's one stage is its batch's check run, and the batch's
     reports pass the workload's oracle."""

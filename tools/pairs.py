@@ -127,6 +127,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, default=8)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
     base_path, change_path = str(args.base.resolve()), str(args.change.resolve())
     if len(base_path) != len(change_path):
         raise SystemExit(

@@ -128,6 +128,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     args = parser.parse_args(argv)
+    if args.requests < 1:
+        parser.error(f"--requests must be at least 1, got {args.requests}")
     sparqlkb = import_sparqlkb()
     workloads = load_workloads()
     for name in args.workload or EVAL_WORKLOADS:
