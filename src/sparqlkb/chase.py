@@ -339,7 +339,7 @@ class ChaseGraph:
                 for a in w.atomic:
                     index[a].add((witness,))
                 queue.append((witness, depth + 1, w.fire))
-        return Graph.of_index(dict(index))
+        return Graph(dict(index))
 
     def carries(self, p: str) -> bool:
         """Whether a witness atom can have predicate p."""
@@ -385,13 +385,20 @@ class ChaseGraph:
         return found
 
 
+def _checked(kb: KnowledgeBase, bound: int) -> tuple[_Model, dict]:
+    """kb's `derived["chase"]`, once the bound is an integer >= 0 and the
+    KB is satisfiable."""
+    if not isinstance(bound, int) or bound < 0:
+        raise ValueError(f"chase bound must be an integer >= 0, got {bound}")
+    found = kb.derived.get("chase") or _derive(kb)
+    if not found[0].consistent:
+        raise UnsatisfiableKbError("knowledge base is unsatisfiable")
+    return found
+
+
 def chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
     """Restricted chase up to the given witness depth; rejects unsat KBs."""
-    if bound < 0:
-        raise ValueError(f"chase bound must be at least 0, got {bound}")
-    model, chases = kb.derived.get("chase") or _derive(kb)
-    if not model.consistent:
-        raise UnsatisfiableKbError("knowledge base is unsatisfiable")
+    model, chases = _checked(kb, bound)
     if bound not in chases:
         remember(chases, _CHASES, bound, ChaseGraph(model, bound))
     return chases[bound]
@@ -399,12 +406,11 @@ def chase(kb: KnowledgeBase, bound: int) -> ChaseGraph:
 
 def witness_count(kb: KnowledgeBase, bound: int) -> int:
     """The number of witnesses in `chase(kb, bound)`, counted over the
-    types without building the chase.  A witness made through r, with d
-    levels left to the bound, heads W(r, d) = 1 + Σ W(s, d − 1) witnesses,
-    over the roles s its type fires, and W(r, 0) = 0: one pass per level."""
-    if bound < 0:
-        raise ValueError(f"chase bound must be at least 0, got {bound}")
-    model = _model(kb)
+    types without building the chase; it refuses what `chase` refuses.
+    A witness made through r, with d levels left to the bound, heads
+    W(r, d) = 1 + Σ W(s, d − 1) witnesses, over the roles s its type
+    fires, and W(r, 0) = 0: one pass per level."""
+    model = _checked(kb, bound)[0]
     heads = dict.fromkeys(model.witness, 0)
     for _ in range(bound):
         heads = {r: 1 + sum(heads[s] for s in w.fire) for r, w in model.witness.items()}

@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from .errors import QueryShapeError
-from .kb import Atom, Term, Var, term
+from .kb import Atom, Term, Var, atoms_of, term
 from .mappings import MappingSet, SolutionMapping
 from .query import JoinQ, Query, Select, TriplePattern, UnionQ, VarSet, branch
 
@@ -48,37 +48,20 @@ Index = dict[str, "set[tuple[str, ...]] | frozenset[tuple[str, ...]]"]
 
 
 class Graph:
-    """Immutable set of ground atoms.  It holds them by name in a
-    per-predicate index; the Atom objects are built on first use."""
+    """Immutable set of ground atoms, held by name in a per-predicate
+    index, in which no predicate maps to an empty set; the Atom objects
+    are built on first use."""
 
-    def __init__(self, atoms: Iterable[Atom]):
-        index: dict[str, set[tuple[str, ...]]] = {}
-        for atom in atoms:
-            index.setdefault(atom.predicate, set()).add(tuple(t.name for t in atom.args))
-        self.index: Index = index
-
-    @classmethod
-    def of_index(cls, index: Index) -> "Graph":
-        """The graph of an index (no predicate may map to an empty set)."""
-        g = cls.__new__(cls)
-        g.index = index
-        return g
+    def __init__(self, index: Index):
+        self.index = index
 
     @cached_property
     def atoms(self) -> frozenset[Atom]:
-        return frozenset(
-            Atom(p, tuple(map(term, args))) for p, rows in self.index.items() for args in rows
-        )
+        return atoms_of(self.index)
 
     def terms(self) -> frozenset[Term]:
         names = {name for rows in self.index.values() for args in rows for name in args}
         return frozenset(map(term, names))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash(self.atoms)
 
     def __len__(self) -> int:
         return sum(map(len, self.index.values()))

@@ -115,6 +115,11 @@ class Atom:
         return f"{self.predicate}({', '.join(str(a) for a in self.args)})"
 
 
+def atoms_of(index: dict[str, AbstractSet[tuple[str, ...]]]) -> frozenset[Atom]:
+    """The Atoms of a per-predicate name index."""
+    return frozenset(Atom(p, tuple(map(term, args))) for p, rows in index.items() for args in rows)
+
+
 @dataclass(frozen=True, order=True)
 class RoleExpr:
     """A role name or its inverse."""
@@ -245,11 +250,7 @@ class KnowledgeBase:
 
     @cached_property
     def abox(self) -> frozenset[Atom]:
-        return frozenset(
-            Atom(p, tuple(map(individual, args)))
-            for p, rows in self.encoded.facts.items()
-            for args in rows
-        )
+        return atoms_of(self.encoded.facts)
 
     def __setattr__(self, name: str, *value) -> NoReturn:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -10,7 +10,8 @@ printer as it ran before it printed slot rows: over SolutionMappings, in
 
 `closure_tbox` saturates a TBox into pair closures by the naive fixpoint, and
 `closure_type` reads an element's type off them, for comparison with the
-engine's reachability lookups.
+engine's reachability lookups.  `unfold` builds the chase element by element
+from those two alone, with no type graph and no signature memo.
 
 `token_parse_kb` is `parse_kb` as it ran before it scanned the ABox text:
 every statement through `_Tokens`, with the ABox read off the token list.
@@ -174,7 +175,7 @@ def _canonical(q, kb):
 
 
 def plain_ans(q, kb):
-    return sparql_ans(q, Graph(kb.abox))
+    return sparql_ans(q, Graph(kb.encoded.facts))
 
 
 def cert_ans_ucq(q, kb):
@@ -501,6 +502,49 @@ def closure_type(satisfied, ref):
     atomic = tuple(sorted(b.name for b in entailed if b.kind == "atomic"))
     clash = any((b1, b2) in ref.disjointness_closure for b1 in entailed for b2 in entailed)
     return atomic, fire, clash
+
+
+def unfold(kb, bound):
+    """The chase of kb to `bound` as a name index of sets, built one element
+    at a time.  A named individual has its ABox facts, and each role fact
+    again for every super-role (reversed for an inverse); it satisfies ∃r
+    for each of these edges over a TBox role r that leaves it, ∃r⁻ for each
+    that enters it, and its facts over TBox concepts.  A witness made
+    through r has its edges from its parent and satisfies ∃s⁻ for every
+    super-role s of r.  Each element has the atomic concepts of its type
+    and, below the bound, one child per role its type fires, named by its
+    path as the engine names it."""
+    ref = closure_tbox(kb.tbox)
+    supers = ref.supers()
+    concepts = {b for b, _ in ref.concept_closure if b.kind == "atomic"}
+    index = {}
+    for p, rows in kb.encoded.facts.items():
+        for args in rows:
+            index.setdefault(p, set()).add(args)
+            for s in supers.get(RoleExpr(p), ()) if len(args) == 2 else ():
+                index.setdefault(s.name, set()).add(args[::-1] if s.inverse else args)
+    satisfied = {t: set() for t in kb.encoded.adom}
+    for p, rows in index.items():
+        for args in rows:
+            if len(args) == 2 and p in ref.role_names:
+                satisfied[args[0]].add(exists(RoleExpr(p)))
+                satisfied[args[1]].add(exists(RoleExpr(p, True)))
+            elif len(args) == 1 and BasicConcept("atomic", p) in concepts:
+                satisfied[args[0]].add(BasicConcept("atomic", p))
+    pending = [(t, 0, sat) for t, sat in satisfied.items()]
+    while pending:
+        element, depth, sat = pending.pop()
+        atomic, fire, _ = closure_type(sat, ref)
+        for a in atomic:
+            index.setdefault(a, set()).add((element,))
+        prefix = element if element.startswith("_:") else "_:" + element
+        for r in fire if depth < bound else ():
+            child = f"{prefix}|{r.name}{'-' if r.inverse else ''}"
+            for s in supers[r]:
+                edge = (child, element) if s.inverse else (element, child)
+                index.setdefault(s.name, set()).add(edge)
+            pending.append((child, depth + 1, {exists(s.inverted()) for s in supers[r]}))
+    return index
 
 
 def _parse_facts(toks: _Tokens) -> tuple[dict[str, set], dict[str, set]]:

@@ -157,13 +157,14 @@ class TestClosure:
 
 class TestChase:
     def test_a_negative_bound_is_refused(self):
-        """A negative bound would read as bound 0 under a memo entry of its
-        own."""
+        """A negative bound would read as bound 0, and 0.5 as bound 1, each
+        under a memo entry of its own."""
         kb = parse_kb("TBOX: A [= exists r . ABOX: A(a) .")
         q = parse_query("SELECT{x}( r(?x, ?y) )")
         for read in (chase, witness_count, lambda kb, bound: can_ans(q, kb, bound)):
-            with pytest.raises(ValueError, match="bound must be at least 0, got -1"):
-                read(kb, -1)
+            for bound in (-1, 0.5):
+                with pytest.raises(ValueError, match=f"must be an integer >= 0, got {bound}"):
+                    read(kb, bound)
         assert can_ans(q, kb, 0) == ms() and can_ans(q, kb) == ms(m(x="a"))
 
     def test_single_existential_step(self):
@@ -281,7 +282,7 @@ class TestChase:
         assert len(models) == 1
 
     def test_no_predicate_maps_to_an_empty_set(self):
-        """Graph.of_index's precondition: a chase adds a predicate to its
+        """Graph's precondition: a chase adds a predicate to its
         index only with an atom."""
         for kb, q in islice(generate_instances(7, SizeParams()), 300):
             for depth in (0, 1, default_bound(kb, q)):
@@ -293,13 +294,14 @@ class TestChase:
         first = chase(kb, 4)
         second = chase(KnowledgeBase.of_encoded(kb.tbox, kb.encoded), 4)
         assert second is not first
-        assert first.graph == second.graph
+        assert first.graph.index == second.graph.index
         assert _witnesses(first) == _witnesses(second)
 
     def test_rejects_unsatisfiable_kb(self):
         kb = parse_kb("TBOX: A [= not B . ABOX: A(c) . B(c) .")
-        with pytest.raises(UnsatisfiableKbError):
-            chase(kb, 2)
+        for read in (chase, witness_count):
+            with pytest.raises(UnsatisfiableKbError):
+                read(kb, 2)
 
 
 class TestWitnessCount:
@@ -641,6 +643,32 @@ class TestMatchPerElement:
                             assert sorted(cg.match(p, pos, [v])) == expected, (bound, p, pos, v)
                             checked += 1
         assert checked == 44_450
+
+
+class TestUnfoldOracle:
+    """The chase equals `reference.unfold`, which builds it element by
+    element from the pair closures alone, at bounds 0 to 4 on 300
+    generated KBs, and at bounds 0 to 7 on `BRANCHING` with r(a, b) added
+    and on the two-role cycle KB of `TestDepthStability`.  Like
+    `TestMatchPerElement`, it pins the reading bounded by the chase's
+    depth."""
+
+    def test_equals_the_chase(self):
+        a, b = individual("a"), individual("b")
+        generated = [kb for kb, _ in islice(generate_instances(29, SizeParams()), 300)]
+        cases = [(kb, range(5)) for kb in generated] + [(kb, range(8)) for kb in (
+            KnowledgeBase(BRANCHING.tbox, BRANCHING.abox | {Atom("r", (a, b))}),
+            parse_kb("TBOX: exists inv(r) [= exists s . exists inv(s) [= exists r ."
+                     " ABOX: r(a, b) ."),
+        )]
+        checked = 0
+        for kb, bounds in cases:
+            for bound in bounds:
+                index = chase(kb, bound).graph.index
+                expected = reference.unfold(kb, bound)
+                assert {p: set(rows) for p, rows in index.items()} == expected, bound
+                checked += 1
+        assert checked == 1_516
 
 
 class TestDefaultBound:

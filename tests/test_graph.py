@@ -12,7 +12,7 @@ from sparqlkb.errors import QueryShapeError
 from sparqlkb.chase import chase
 from sparqlkb.graph import Graph, evaluate, sparql_ans, sparql_ans_branch
 from sparqlkb.harness import SizeParams, generate_instances
-from sparqlkb.kb import Atom, Var, individual, parse_kb
+from sparqlkb.kb import Var, individual, parse_kb
 from sparqlkb.mappings import extends, set_extends
 from sparqlkb.query import (
     OptQ,
@@ -30,15 +30,10 @@ X, Y = Var("x"), Var("y")
 
 
 def _graph(kb_text: str) -> Graph:
-    return Graph(parse_kb(kb_text).abox)
+    return Graph(parse_kb(kb_text).encoded.facts)
 
 
 class TestGraph:
-    def test_equality_ignores_index_state(self):
-        atoms = {Atom("A", (individual("a"),))}
-        assert Graph(atoms) == Graph(list(atoms))
-        assert hash(Graph(atoms)) == hash(Graph(list(atoms)))
-
     def test_iteration_is_sorted(self):
         g = _graph("TBOX: ABOX: B(b) . A(a) . A(c) .")
         assert [str(a) for a in g] == ["A(a)", "A(c)", "B(b)"]
@@ -75,15 +70,15 @@ class TestTriplePatterns:
 
 class TestOperators:
     def test_optional_keeps_unextendable_rows(self):
-        g = Graph(load_kb("ex2.kb").abox)
+        g = Graph(load_kb("ex2.kb").encoded.facts)
         assert sparql_ans(load_query("ex2.sq"), g) == ms(m(x="Alice"))
 
     def test_optional_extends_when_it_can(self):
-        g = Graph(load_kb("ex2i.kb").abox)
+        g = Graph(load_kb("ex2i.kb").encoded.facts)
         assert sparql_ans(load_query("ex2.sq"), g) == ms(m(x="Alice", y="12345"))
 
     def test_projection_after_optional(self):
-        g = Graph(load_kb("ex3.kb").abox)
+        g = Graph(load_kb("ex3.kb").encoded.facts)
         assert sparql_ans(load_query("ex3.sq"), g) == ms(
             m(x="Alice", z="Carol"), m(x="Alice")
         )
@@ -110,7 +105,7 @@ class TestEvaluate:
 
 class TestBranchEvaluation:
     def test_union_free_query_equals_plain_evaluation(self):
-        g = Graph(load_kb("ex3.kb").abox)
+        g = Graph(load_kb("ex3.kb").encoded.facts)
         q = load_query("ex3.sq")
         assert sparql_ans_branch(q, g, q) == sparql_ans(q, g)
 
@@ -136,14 +131,14 @@ class TestGeneratedProperties:
 
     def test_answer_domains_are_admissible(self):
         for kb, q in self._instances():
-            g = Graph(kb.abox)
+            g = Graph(kb.encoded.facts)
             family = adm(q)
             for w in sparql_ans(q, g):
                 assert w.domain in family
 
     def test_answers_are_covered_by_branches(self):
         for kb, q in self._instances():
-            g = Graph(kb.abox)
+            g = Graph(kb.encoded.facts)
             covered = frozenset().union(
                 *(sparql_ans(qb, g) for qb in branch(q))
             )
@@ -153,7 +148,7 @@ class TestGeneratedProperties:
         for kb, q in self._instances():
             if not isinstance(q, OptQ) or not is_union_free(q):
                 continue
-            g = Graph(kb.abox)
+            g = Graph(kb.encoded.facts)
             assert set_extends(sparql_ans(q.left, g), sparql_ans(q, g))
 
     def test_ucq_evaluation_agrees_with_backtracking_oracle(self):
@@ -161,7 +156,7 @@ class TestGeneratedProperties:
         for kb, q in islice(generate_instances(11, SizeParams()), 400):
             if not is_ucq_shape(q):
                 continue
-            g = Graph(kb.abox)
+            g = Graph(kb.encoded.facts)
             assert sparql_ans(q, g) == brute_force_cq_matches(q, g)
             checked += 1
         assert checked >= 30

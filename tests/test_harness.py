@@ -262,13 +262,13 @@ class TestBruteForceCqMatches:
     def test_projection_and_join(self):
         kb = load_kb("ex3.kb")
         q = parse_query("SELECT{x}( JOIN( teachesTo(?x, ?y), knows(?y, ?z) ) )")
-        assert brute_force_cq_matches(q, Graph(kb.abox)) == frozenset({m(x="Alice")})
+        assert brute_force_cq_matches(q, Graph(kb.encoded.facts)) == frozenset({m(x="Alice")})
 
     def test_rejects_optional(self):
         from sparqlkb.errors import QueryShapeError
 
         with pytest.raises(QueryShapeError):
-            brute_force_cq_matches(load_query("ex2.sq"), Graph(frozenset()))
+            brute_force_cq_matches(load_query("ex2.sq"), Graph({}))
 
 
 class TestGenerator:

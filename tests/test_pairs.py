@@ -93,6 +93,22 @@ def test_verdicts_unresolved_and_within_bound():
     ]
 
 
+def test_a_change_that_fails_a_larger_share_gains_nothing():
+    # the change wins every pair on rps, by more than the base's
+    # interquartile range, but fails 1 request in 1,000 where the base
+    # fails none
+    pairs = _pairs()
+    results = _results((range(100, 110), range(100, 110)), (range(120, 130), range(100, 110)))
+    assert pairs.verdicts(results, BOUNDED)[0].endswith(": gain")
+    assert pairs.failed_share(results) == (
+        False, "failed share: base 0.0000, change 0.0000: not more")
+    results[3] = (results[3][0], pairs.parse_result(_stdout(123, 103, failed=1)))
+    assert pairs.verdicts(results, BOUNDED)[0] == (
+        "throughput_rps: medians -0.1914 of base (positive is worse), bound 0.25: within bound")
+    assert pairs.failed_share(results) == (
+        True, "failed share: base 0.0000, change 0.0010: more failed")
+
+
 def test_a_change_that_wins_fewer_than_9_in_10_pairs_is_no_gain():
     pairs = _pairs()
     assert pairs.verdict([50, 52, 54, 56, 58], [60, 51, 64, 62, 66], "higher", 0.25) == (
@@ -179,9 +195,9 @@ def test_every_workload_runs_and_prints_its_own_block(tmp_path, monkeypatch, cap
     every = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     assert ran == [(w, side, 5) for w in every for side in ("a", "b")]
     out = capsys.readouterr().out.splitlines()
-    # one header, one line pair per metric, the failure line and one
-    # verdict line per metric
-    block = 1 + 2 * len(METRICS) + 1 + len(METRICS)
+    # one header, one line pair per metric, the failure line, one
+    # verdict line per metric and the failed-share verdict line
+    block = 1 + 2 * len(METRICS) + 1 + len(METRICS) + 1
     assert len(out) == block * len(every)
     assert [out[i * block] for i in range(len(every))] == [f"{w}:" for w in every]
 

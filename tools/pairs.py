@@ -16,11 +16,12 @@ change in odd ones.  Each run's result is the JSON object on the last line
 of its standard output.  Each workload's summary block starts with its name;
 for each end-to-end metric it gives both sides' medians and quartiles, the
 number of pairs the change won (strictly better, in the direction that
-BENCHMARK.json declares) and every pair's two values.  The block ends with
-one verdict line per metric: the change of the medians as a fraction of the
-base median, signed so that positive means worse, the metric's bound from
-BENCHMARK.json, and the verdict (see `verdict`).  It uses only the standard
-library.
+BENCHMARK.json declares) and every pair's two values, then both sides'
+failed requests.  The block ends with one verdict line per metric: the
+change of the medians as a fraction of the base median, signed so that
+positive means worse, the metric's bound from BENCHMARK.json, and the
+verdict (see `verdict`); then one verdict line on the share of requests
+that failed (see `failed_share`).  It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -56,6 +57,22 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def failed_counts(pairs: list[tuple[dict, dict]]) -> list[tuple[int, int]]:
+    """(failed, attempted) requests summed over the base runs, then over
+    the change runs."""
+    return [(sum(r["failed"] for r in side), sum(r["attempted"] for r in side))
+            for side in zip(*pairs)]
+
+
+def failed_share(pairs: list[tuple[dict, dict]]) -> tuple[bool, str]:
+    """Whether the change failed a larger share of its requests than the
+    base, and the verdict line that says so: "more failed" or "not more"."""
+    (fb, ab), (fc, ac) = failed_counts(pairs)
+    more = fc * ab > fb * ac
+    said = "more failed" if more else "not more"
+    return more, f"failed share: base {fb / ab:.4f}, change {fc / ac:.4f}: {said}"
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
     """One block of lines per metric for (base, change) result pairs.
     `better` maps each metric name to "higher" or "lower"."""
@@ -71,19 +88,20 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
             f"change {c2:.4g} [{c1:.4g}-{c3:.4g}], change won {won} of {len(pairs)}"
         )
         lines.append("  " + ", ".join(f"{b:.4g}->{c:.4g}" for b, c in zip(base, change)))
-    failed = [sum(r["failed"] for r in side) for side in zip(*pairs)]
-    attempted = [sum(r["attempted"] for r in side) for side in zip(*pairs)]
-    lines.append(f"failed: base {failed[0]} of {attempted[0]}, change {failed[1]} of {attempted[1]}")
+    (fb, ab), (fc, ac) = failed_counts(pairs)
+    lines.append(f"failed: base {fb} of {ab}, change {fc} of {ac}")
     return lines
 
 
 def verdict(
-    base: list[float], change: list[float], direction: str, bound: float
+    base: list[float], change: list[float], direction: str, bound: float,
+    more_failed: bool = False,
 ) -> tuple[float, str]:
     """The change of the medians as a fraction of the base median, positive
     when worse, and the verdict on the pairs (base[i], change[i]), in order:
-    "gain" when the change won at least 9 in 10 of the pairs and the medians differ
-    by more than the base's interquartile range; "unresolved" when that range
+    "gain" when the change won at least 9 in 10 of the pairs, the medians differ
+    by more than the base's interquartile range, and the change did not fail
+    a larger share of its requests (`more_failed`); "unresolved" when that range
     is wider than the bound and not every change run beats every base run;
     "beyond bound" when the change is worse by more than the bound; else
     "within bound"."""
@@ -91,7 +109,7 @@ def verdict(
     (b1, b2, b3), (_, c2, _) = _quartiles(base), _quartiles(change)
     worse = sign * (b2 - c2) / b2
     won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
-    if worse < 0 and 10 * won >= 9 * len(base) and abs(c2 - b2) > b3 - b1:
+    if worse < 0 and 10 * won >= 9 * len(base) and abs(c2 - b2) > b3 - b1 and not more_failed:
         return worse, "gain"
     separated = all(sign * (c - b) > 0 for b in base for c in change)
     if (b3 - b1) / b2 > bound and not separated:
@@ -101,15 +119,19 @@ def verdict(
 
 def verdicts(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """One verdict line per BENCHMARK.json end-to-end metric (a dict with
-    "name", "better" and "bound") for (base, change) result pairs."""
+    "name", "better" and "bound") for (base, change) result pairs.  A gain
+    does not count where the change failed a larger share of its requests,
+    so no metric reads "gain" there."""
+    more = failed_share(pairs)[0]
     lines = []
     for m in metrics:
         base = [b["metrics"][m["name"]]["value"] for b, _ in pairs]
         change = [c["metrics"][m["name"]]["value"] for _, c in pairs]
-        worse, said = verdict(base, change, m["better"], m["bound"])
+        worse, said = verdict(base, change, m["better"], m["bound"], more)
         lines.append(f"{m['name']}: medians {worse:+.4f} of base (positive is worse), "
                      f"bound {m['bound']:g}: {said}")
     return lines
+
 
 
 def chosen_workloads(named: list[str] | None, benchmark: dict) -> list[str]:
@@ -149,6 +171,7 @@ def main(argv=None) -> int:
             pairs.append((results["base"], results["change"]))
             print(f"{workload}: pair {i + 1} (seed {seed}) done", file=sys.stderr)
         lines = [f"{workload}:"] + summarize(pairs, better) + verdicts(pairs, benchmark["end_to_end"])
+        lines.append(failed_share(pairs)[1])
         print("\n".join(lines), flush=True)
     return 0
 
