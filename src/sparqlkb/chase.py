@@ -386,9 +386,9 @@ class ChaseGraph:
 
 
 def _checked(kb: KnowledgeBase, bound: int) -> tuple[_Model, dict]:
-    """kb's `derived["chase"]`, once the bound is an integer >= 0 and the
-    KB is satisfiable."""
-    if not isinstance(bound, int) or bound < 0:
+    """kb's `derived["chase"]`, once the bound is an integer >= 0 (not a
+    bool, which would share a key with 0 or 1) and the KB is satisfiable."""
+    if type(bound) is not int or bound < 0:
         raise ValueError(f"chase bound must be an integer >= 0, got {bound}")
     found = kb.derived.get("chase") or _derive(kb)
     if not found[0].consistent:

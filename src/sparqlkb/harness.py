@@ -1,5 +1,5 @@
-"""Requirement checks, the brute-force `adm` oracle, the instance generator,
-and differential runs.
+"""Requirement checks, the brute-force `adm` oracle and the instance
+generator.
 
 A check reads each semantics' answers as slot rows (`semantics.ROWS`), the
 rows that `eval` prints, and states each requirement on them: it builds
@@ -10,7 +10,7 @@ the model and its chases (see chase.py), so they live as long as the KB."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .chase import default_bound, is_satisfiable, remember, witness_count
@@ -29,7 +29,7 @@ from .kb import (
     parse_kb,
     serialize_kb,
 )
-from .mappings import MappingSet, SolutionMapping, set_extends
+from .mappings import SolutionMapping
 from .query import (
     JoinQ,
     OptQ,
@@ -94,7 +94,8 @@ def check_requirement(
     `_offending`), or None where it does not apply: the verdict is pass if
     that set is empty, else fail with the set, as SolutionMappings sorted by
     bindings, as counterexamples."""
-    if req_id not in range(1, 6):
+    # a bool or a float can equal an id, so the type is checked first
+    if type(req_id) is not int or req_id not in range(1, 6):
         raise ValueError(f"requirement id must be in 1..5, got {req_id}")
     if semantics_name not in ROWS:
         raise ValueError(f"semantics must be one of {', '.join(ROWS)}, got {semantics_name!r}")
@@ -192,9 +193,9 @@ class SizeParams:
 
     def __post_init__(self):
         # the pools are sliced by these sizes, so a negative one would slice from the
-        # end, and one that is not an integer cannot slice them
+        # end, and one that is not an integer cannot slice them (a bool would slice as 0 or 1)
         for name, value in vars(self).items():
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:
                 raise ValueError(f"SizeParams.{name} must be an integer >= 0, got {value}")
 
     def clamped(self) -> "SizeParams":
@@ -371,44 +372,6 @@ def _strip_select(q: Query) -> Query:
     if isinstance(q, Select):
         return _strip_select(q.body)
     return type(q)(_strip_select(q.left), _strip_select(q.right))
-
-
-# --- differential comparison ------------------------------------------------
-
-
-@dataclass
-class DifferentialReport:
-    answers: dict[str, MappingSet | None] = field(default_factory=dict)
-    relations: dict[tuple[str, str], str] = field(default_factory=dict)
-
-
-def _relation(o1: MappingSet, o2: MappingSet) -> str:
-    if o1 == o2:
-        return "="
-    if o1 < o2:
-        return "subset"
-    if o1 > o2:
-        return "superset"
-    if set_extends(o1, o2):
-        return "extends-into"
-    if set_extends(o2, o1):
-        return "extended-by"
-    return "incomparable"
-
-
-def differential(q: Query, kb: KnowledgeBase) -> DifferentialReport:
-    """Evaluate every semantics and report pairwise set relations."""
-    report = DifferentialReport()
-    for name in ROWS:
-        rows = _rows(name, q, kb)
-        report.answers[name] = None if rows is None else to_mappings(rows)
-    names = [n for n, a in report.answers.items() if a is not None]
-    for i, n1 in enumerate(names):
-        for n2 in names[i + 1 :]:
-            report.relations[(n1, n2)] = _relation(
-                report.answers[n1], report.answers[n2]
-            )
-    return report
 
 
 def describe_instance(kb: KnowledgeBase, q: Query) -> str:

@@ -88,10 +88,6 @@ def individual(name: str) -> Term:
     return Term("individual", name)
 
 
-def anonymous(name: str) -> Term:
-    return Term("anonymous", name)
-
-
 @dataclass(frozen=True, order=True)
 class Var:
     name: str
@@ -218,8 +214,8 @@ class KnowledgeBase:
     It is its TBox and its ABox's name index `encoded`, which is all the
     engine reads; names and Atoms map one to one, so two KBs are equal iff
     their TBoxes and Atom sets are.  The Atoms of `abox` are built on first
-    read, unless the constructor was given them.  Like a query node, a KB
-    stores its hash when it is built.  `derived` holds what the engine
+    read, unless the constructor was given them.  Its hash is computed when
+    asked, which no request does.  `derived` holds what the engine
     derives from the KB (see chase.py and harness.py), so it lives as long
     as the KB; it is not part of the KB's value."""
 
@@ -245,8 +241,7 @@ class KnowledgeBase:
         return kb
 
     def _identify(self, tbox: frozenset[TBoxAxiom], encoded: EncodedAbox) -> None:
-        hashed = hash((tbox, frozenset(encoded.facts.items())))
-        self.__dict__.update(tbox=tbox, encoded=encoded, _hash=hashed, derived={})
+        self.__dict__.update(tbox=tbox, encoded=encoded, derived={})
 
     @cached_property
     def abox(self) -> frozenset[Atom]:
@@ -260,17 +255,13 @@ class KnowledgeBase:
     def __eq__(self, other) -> bool:
         if other.__class__ is not KnowledgeBase:
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.tbox == other.tbox
-            and self.encoded.facts == other.encoded.facts
-        )
+        return self.tbox == other.tbox and self.encoded.facts == other.encoded.facts
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.tbox, frozenset(self.encoded.facts.items())))
 
     def __reduce__(self):
-        # the stored hash is of strings, which differ between processes
+        # by value, so that `derived` stays behind
         return KnowledgeBase, (self.tbox, self.abox)
 
     def __repr__(self) -> str:

@@ -1,6 +1,5 @@
-"""Solution mappings: the public answer type, and the extension order
-between answers and answer sets.  The answer algebra runs on slot rows
-(see graph.py and semantics.py)."""
+"""Solution mappings: the public answer type.  The answer algebra runs on
+slot rows (see graph.py and semantics.py)."""
 
 from __future__ import annotations
 
@@ -43,16 +42,7 @@ class SolutionMapping:
         return "{" + inner + "}"
 
 
+# compatible is unused in src/; the benchmark tracer counts its calls.
 def compatible(w1: SolutionMapping, w2: SolutionMapping) -> bool:
     d2 = w2.as_dict()
     return all(d2.get(v, t) == t for v, t in w1.bindings)
-
-
-def extends(w1: SolutionMapping, w2: SolutionMapping) -> bool:
-    """ω1 ⪯ ω2: ω2 agrees with ω1 on all of dom(ω1)."""
-    return w1.domain <= w2.domain and compatible(w1, w2)
-
-
-def set_extends(omega1: MappingSet, omega2: MappingSet) -> bool:
-    """Ω1 ⪯_g Ω2: every ω1 extends to some ω2 ∈ Ω2."""
-    return all(any(extends(w1, w2) for w2 in omega2) for w1 in omega1)

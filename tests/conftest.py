@@ -3,7 +3,7 @@
 import random
 from pathlib import Path
 
-from sparqlkb.kb import Term, Var, anonymous, individual, parse_kb
+from sparqlkb.kb import Term, Var, individual, parse_kb
 from sparqlkb.mappings import SolutionMapping
 from sparqlkb.query import parse_query
 
@@ -16,6 +16,10 @@ def load_kb(name: str):
 
 def load_query(name: str):
     return parse_query((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def anonymous(name: str) -> Term:
+    return Term("anonymous", name)
 
 
 def _term(value: str) -> Term:

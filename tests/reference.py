@@ -16,6 +16,9 @@ from those two alone, with no type graph and no signature memo.
 `token_parse_kb` is `parse_kb` as it ran before it scanned the ABox text:
 every statement through `_Tokens`, with the ABox read off the token list.
 
+`extends` and `set_extends` are the extension order between answers and
+between answer sets, which only the tests read.
+
 `check_requirement` is the requirement check as it ran on SolutionMappings,
 before it read slot rows, and `brute_force_cq_matches` enumerates a UCQ's
 total matches by backtracking, independent of the compositional evaluator."""
@@ -46,7 +49,7 @@ from sparqlkb.kb import (
     exists,
 )
 from sparqlkb.harness import CheckReport
-from sparqlkb.mappings import SolutionMapping, extends
+from sparqlkb.mappings import SolutionMapping, compatible
 from sparqlkb.query import (
     JoinQ,
     OptQ,
@@ -61,6 +64,16 @@ from sparqlkb.query import (
     union_operands,
 )
 from sparqlkb.semantics import is_ucq_shape
+
+
+def extends(w1, w2):
+    """ω1 ⪯ ω2: ω2 agrees with ω1 on all of dom(ω1)."""
+    return w1.domain <= w2.domain and compatible(w1, w2)
+
+
+def set_extends(omega1, omega2):
+    """Ω1 ⪯_g Ω2: every ω1 extends to some ω2 ∈ Ω2."""
+    return all(any(extends(w1, w2) for w2 in omega2) for w1 in omega1)
 
 
 def restrict(w, xs):

@@ -6,7 +6,7 @@ from itertools import chain, combinations, islice, product
 
 import pytest
 
-from conftest import load_kb, load_query, m, ms
+from conftest import anonymous, load_kb, load_query, m, ms
 import reference
 from sparqlkb import chase as chase_module, kb as kb_module
 from sparqlkb.chase import (
@@ -30,7 +30,6 @@ from sparqlkb.kb import (
     RoleExpr,
     RoleInclusion,
     Var,
-    anonymous,
     exists,
     individual,
     parse_kb,
@@ -158,11 +157,12 @@ class TestClosure:
 class TestChase:
     def test_a_negative_bound_is_refused(self):
         """A negative bound would read as bound 0, and 0.5 as bound 1, each
-        under a memo entry of its own."""
+        under a memo entry of its own; True equals 1, so its chase would be
+        kept under bound 1's entry and returned for chase(kb, 1)."""
         kb = parse_kb("TBOX: A [= exists r . ABOX: A(a) .")
         q = parse_query("SELECT{x}( r(?x, ?y) )")
         for read in (chase, witness_count, lambda kb, bound: can_ans(q, kb, bound)):
-            for bound in (-1, 0.5):
+            for bound in (-1, 0.5, True):
                 with pytest.raises(ValueError, match=f"must be an integer >= 0, got {bound}"):
                     read(kb, bound)
         assert can_ans(q, kb, 0) == ms() and can_ans(q, kb) == ms(m(x="a"))

@@ -1,4 +1,4 @@
-"""Requirement checks, brute-force oracles, generator, and differential runs."""
+"""Requirement checks, brute-force oracles and the generator."""
 
 import gc
 import hashlib
@@ -8,7 +8,7 @@ from itertools import islice
 import pytest
 
 import reference
-from conftest import load_kb, load_query, m, ms
+from conftest import load_kb, load_query, m
 from reference import brute_force_cq_matches
 from sparqlkb import chase as chase_module
 from sparqlkb import harness
@@ -21,7 +21,6 @@ from sparqlkb.harness import (
     brute_force_adm,
     check_requirement,
     describe_instance,
-    differential,
     generate_instances,
 )
 from sparqlkb.kb import KnowledgeBase, Var, parse_kb, serialize_kb
@@ -49,8 +48,11 @@ def _opt_chain(k: int, var: str) -> str:
 
 class TestCheckRequirement:
     def test_invalid_requirement_id(self):
-        with pytest.raises(ValueError):
-            check_requirement(6, "mcan", load_query("ex1.sq"), load_kb("ex1.kb"))
+        """True and 1.0 equal 1, and would be reported as requirement true
+        or 1.0."""
+        for req_id in (6, True, 1.0):
+            with pytest.raises(ValueError, match=f"requirement id must be in 1..5, got {req_id}"):
+                check_requirement(req_id, "mcan", load_query("ex1.sq"), load_kb("ex1.kb"))
 
     def test_unknown_semantics_names_the_known_ones(self):
         with pytest.raises(ValueError, match="plain, certain-ucq, regime, canonical, restricted, mcan"):
@@ -301,9 +303,9 @@ class TestGenerator:
     )
     def test_a_negative_size_is_refused(self, field):
         """A size slices a pool, so a negative one would draw from the
-        pool's end and one that is not an integer cannot slice it; zero
-        draws from none."""
-        for size in (-1, 2.5):
+        pool's end and one that is not an integer cannot slice it; True
+        would slice as 1.  Zero draws from none."""
+        for size in (-1, 2.5, True):
             with pytest.raises(ValueError, match=f"SizeParams.{field} "):
                 SizeParams(**{field: size})
         next(generate_instances(1, SizeParams(**{field: 0})))
@@ -338,36 +340,7 @@ class TestStream:
         assert h.hexdigest() == digest
 
 
-class TestDifferential:
-    def test_all_semantics_agree_on_complete_data(self):
-        kb = parse_kb("TBOX: ABOX: Driver(Alice) . hasLicense(Alice, L1) .")
-        q = load_query("ex1.sq")
-        report = differential(q, kb)
-        values = set(report.answers.values())
-        assert values == {frozenset({m(x="Alice")})}
-        assert set(report.relations.values()) == {"="}
-
-    def test_restricted_extends_canonical_on_incomplete_data(self):
-        report = differential(load_query("ex6.sq"), load_kb("ex1.kb"))
-        assert report.answers["canonical"] == frozenset()
-        assert report.relations[("canonical", "restricted")] == "subset"
-        assert report.relations[("restricted", "mcan")] in ("=", "extends-into", "extended-by")
-
-    @pytest.mark.parametrize("o1, o2, verdict", [
-        (ms(m(x="a")), ms(m(x="a")), "="),
-        (ms(), ms(m(x="a")), "subset"),
-        (ms(m(x="a"), m(x="b")), ms(m(x="a")), "superset"),
-        (ms(m(x="a")), ms(m(x="a", y="b")), "extends-into"),
-        (ms(m(x="a"), m(x="b")), ms(m(x="a", y="c"), m(x="b"), m(x="d")), "extends-into"),
-        (ms(m(x="a", y="b")), ms(m(x="a"), m(y="b")), "extended-by"),
-        # each extends into the other, and extends-into is asked first
-        (ms(m(x="a"), m(x="a", y="b")), ms(m(x="a", y="b"), m(y="b")), "extends-into"),
-        (ms(m(x="a")), ms(m(x="b")), "incomparable"),
-        (ms(m(x="a"), m(x="b", y="c")), ms(m(x="a", y="d"), m(x="b")), "incomparable"),
-    ])
-    def test_relation_of_hand_built_answer_sets(self, o1, o2, verdict):
-        assert harness._relation(o1, o2) == verdict
-
+class TestDescribeInstance:
     def test_describe_mentions_sizes(self):
         desc = describe_instance(load_kb("ex1.kb"), load_query("ex1.sq"))
         assert "1ax" in desc and "1facts" in desc

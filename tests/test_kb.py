@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, load_kb
+from conftest import FIXTURES, anonymous, load_kb
 from sparqlkb import chase as chase_module
 from sparqlkb.errors import ParseError
 from sparqlkb.harness import SizeParams, generate_instances
@@ -25,7 +25,6 @@ from sparqlkb.kb import (
     RoleInclusion,
     Term,
     active_domain,
-    anonymous,
     exists,
     individual,
     parse_kb,

@@ -7,14 +7,13 @@ from hypothesis import given, strategies as st
 
 import reference
 from conftest import m, ms, V
+from reference import extends, set_extends
 from sparqlkb import graph
 from sparqlkb.graph import Rows, diff, join, project, to_mappings, union
 from sparqlkb.kb import Var, individual
 from sparqlkb.mappings import (
     SolutionMapping,
     compatible,
-    extends,
-    set_extends,
 )
 from sparqlkb.semantics import otimes, restrict_filter, restrict_project
 
