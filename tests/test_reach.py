@@ -1,4 +1,4 @@
-"""tools/reach.py, on one request of each workload and the commands on
+"""tools/reach.py, on its requests of each workload and the commands on
 tests/fixtures: a request's join is entered, and the oracle that only the
 tests call is not."""
 
@@ -19,6 +19,6 @@ def test_a_request_enters_join_and_no_run_enters_the_adm_oracle():
     reach = _reach()
     defined = set(reach.functions().values())
     assert {"sparqlkb.graph.join", "sparqlkb.harness.brute_force_adm"} <= defined
-    unentered = reach.unentered(requests=1, seed=0)
+    unentered = reach.unentered()
     assert "sparqlkb.graph.join" not in unentered
     assert "sparqlkb.harness.brute_force_adm" in unentered

@@ -1,12 +1,19 @@
-"""Every top-level function and class of src/sparqlkb is used: its name is
-read elsewhere in src/, or it is exported by `sparqlkb.__all__`, imported
-by tests/test_acceptance.py, or wrapped by the benchmark's tracer
-(perfbench/tracer.py's TIMED and COUNTED targets).  Code that only the
-tests call belongs in tests/."""
+"""Every top-level function and class of src/sparqlkb is used: another
+top-level statement of src/ reads it, or it is exported by
+`sparqlkb.__all__`, imported by tests/test_acceptance.py, or wrapped by the
+benchmark's tracer (perfbench/tracer.py's TIMED and COUNTED targets).  Code
+that only the tests call belongs in tests/.
+
+A statement reads a definition when it loads a name, or an attribute of a
+module, that is bound to the definition's object.  An attribute of anything
+else (``", ".join``, ``self.check``) reads nothing, and an import alone does
+not read what it imports.  One limit: a local variable that shares a
+module-level name counts as reading what that name is bound to."""
 
 import ast
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 import sparqlkb
@@ -17,30 +24,42 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def _read_names(node: ast.AST) -> set[str]:
-    """The names that node reads, as a variable or as an attribute."""
-    found = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            found.add(sub.id)
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            found.add(sub.attr)
-    return found
+def _resolve(namespace: dict, node: ast.expr):
+    """What node, a name or an attribute of a module, is bound to in the
+    module whose globals are namespace, or None."""
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _resolve(namespace, node.value)
+        if isinstance(base, types.ModuleType):
+            return getattr(base, node.attr, None)
+    return None
+
+
+def _reads(namespace: dict, node: ast.AST) -> set[int]:
+    """The ids of the objects that node reads."""
+    return {
+        id(_resolve(namespace, sub))
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    }
 
 
 def unreferenced() -> list[tuple[str, str]]:
-    """(module, name) of each top-level def and class of src/sparqlkb whose
-    name no other top-level statement of src/ reads."""
-    statements = []  # (module, statement)
+    """(module, name) of each top-level def and class of src/sparqlkb that
+    no other top-level statement of src/ reads."""
+    statements = []  # (module, its globals, statement)
     for path in sorted(SRC.glob("*.py")):
         module = "sparqlkb" if path.stem == "__init__" else f"sparqlkb.{path.stem}"
+        namespace = vars(importlib.import_module(module))
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        statements += [(module, node) for node in tree.body]
-    reads = [_read_names(node) for _, node in statements]
+        statements += [(module, namespace, node) for node in tree.body]
+    reads = [_reads(namespace, node) for _, namespace, node in statements]
     found = []
-    for i, (module, node) in enumerate(statements):
+    for i, (module, namespace, node) in enumerate(statements):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if not any(node.name in names for j, names in enumerate(reads) if j != i):
+            defined = id(namespace[node.name])
+            if not any(defined in ids for j, ids in enumerate(reads) if j != i):
                 found.append((module, node.name))
     return found
 

@@ -2,13 +2,15 @@
 
 Run from anywhere:
 
-    python3 tools/reach.py --requests 3 --seed 0
+    python3 tools/reach.py
 
 Under ``sys.settrace``, the script imports sparqlkb from this checkout's
-src/, runs --requests requests of each workload of perfbench/workloads.py
-(loaded as tools/stages.py loads them, from the file, which this script does
-not change) as the benchmark runs them, checking each answer with the
-workload's oracle, and then every ``sparqlkb`` command in-process on
+src/ and runs each workload of perfbench/workloads.py (loaded as
+tools/stages.py loads them, from the file, which this script does not
+change) in the order perfbench/worker.py runs it: one warm-up request at
+the worker's warm-up seed, then REQUESTS requests drawn as the worker draws
+a run's requests at seed SEED, checking each answer with the workload's
+oracle.  It then runs every ``sparqlkb`` command in-process on
 tests/fixtures: ``eval`` on every (.kb, .sq) pair under every semantics in
 both formats, ``check --all-semantics`` on every pair, ``chase`` on every
 KB, ``analyze`` on every query and one ``gen``.  It prints, one a line, each
@@ -20,7 +22,6 @@ alone, not lines.  It uses only the standard library.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import importlib.util
@@ -33,6 +34,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sparqlkb"
 FIXTURES = ROOT / "tests" / "fixtures"
+REQUESTS = 3
+SEED = 0
+# perfbench/worker.py's seed of the warm-up request.
+WARM_UP_SEED = 2**61 - 1
 
 
 def _stages():
@@ -65,17 +70,24 @@ def functions() -> dict[tuple[str, int], str]:
     return found
 
 
-def run_workloads(sparqlkb, workloads: dict, requests: int, seed: int) -> None:
-    """requests requests of each workload; raises if an answer is wrong."""
-    for name, workload_class in workloads.items():
+def run_workloads(sparqlkb, workloads: dict) -> None:
+    """Each workload's warm-up request and REQUESTS timed ones, seeded as
+    perfbench/worker.py seeds them; raises if an answer is wrong."""
+    for workload_class in workloads.values():
         with tempfile.TemporaryDirectory() as workdir:
             workload = workload_class(Path(workdir))
-            workload.start(sparqlkb, seed)
-            rng = random.Random(seed)
-            for i in range(requests):
-                expected = workload.prepare(rng)
-                if not workload.check(expected, workload.run(sparqlkb)):
-                    raise SystemExit(f"{name}: request {i} gave a wrong answer")
+            workload.start(sparqlkb, WARM_UP_SEED)
+            _request(sparqlkb, workload, random.Random(WARM_UP_SEED))
+            workload.start(sparqlkb, SEED)
+            rng = random.Random(f"{SEED}:requests")
+            for _ in range(REQUESTS):
+                _request(sparqlkb, workload, rng)
+
+
+def _request(sparqlkb, workload, rng: random.Random) -> None:
+    expected = workload.prepare(rng)
+    if not workload.check(expected, workload.run(sparqlkb)):
+        raise SystemExit(f"{workload.name}: a request gave a wrong answer")
 
 
 def cli_runs(semantics, workdir: Path) -> list[list[str]]:
@@ -94,7 +106,7 @@ def cli_runs(semantics, workdir: Path) -> list[list[str]]:
     return runs
 
 
-def unentered(requests: int, seed: int) -> list[str]:
+def unentered() -> list[str]:
     """module.qualname of each src/ function that no run entered, in the
     order of the modules and, within one, of the source."""
     stages = _stages()
@@ -108,7 +120,7 @@ def unentered(requests: int, seed: int) -> list[str]:
     sys.settrace(trace)
     try:
         sparqlkb = stages.import_sparqlkb()
-        run_workloads(sparqlkb, workloads, requests, seed)
+        run_workloads(sparqlkb, workloads)
         with tempfile.TemporaryDirectory() as workdir, \
                 contextlib.redirect_stderr(io.StringIO()):
             for argv in cli_runs(sparqlkb.semantics.ROWS, Path(workdir)):
@@ -120,14 +132,8 @@ def unentered(requests: int, seed: int) -> list[str]:
     return [name for key, name in functions().items() if key not in reached]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if args.requests < 1:
-        parser.error(f"--requests must be at least 1, got {args.requests}")
-    print("\n".join(unentered(args.requests, args.seed)))
+def main() -> int:
+    print("\n".join(unentered()))
     return 0
 
 
